@@ -7,6 +7,8 @@ large states (density matrices) never need to be stored per sample.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import DOP853, RK45
 
@@ -39,12 +41,15 @@ def solve_sampled(
     atol: float = 1e-10,
     max_step: float = np.inf,
 ):
-    """Integrate y' = rhs(t, y) and evaluate it at sample_times.
+    """Integrate y' = rhs(t, y); return (values at sample_times, y_end).
 
     sample_times must be increasing and lie inside t_span.  If observe is None
-    the full state at each sample is returned as an array (n_samples, dim);
+    values holds the full state at each sample as an array (n_samples, dim);
     otherwise observe(t, y) is called per sample and its outputs are stacked,
-    keeping memory independent of the state dimension.
+    keeping memory independent of the state dimension.  y_end is the dense
+    output at t_span[1], the state a following segment starts from.  A
+    non-finite derivative at t_span[0], or a step that leaves a non-finite time
+    or state, raises IntegrationFailure.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -59,6 +64,9 @@ def solve_sampled(
 
     y0 = np.asarray(y0)
     solver = cls(rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
+    if not np.isfinite(solver.f).all():
+        # a non-finite derivative makes scipy's step size nan, and step() never returns
+        raise IntegrationFailure(f"non-finite derivative at t={t0:.6g}", t=t0)
 
     out = []
     i = 0
@@ -75,12 +83,17 @@ def solve_sampled(
                 "try a shorter t_span or looser tolerances",
                 t=solver.t,
             )
+        if not (math.isfinite(solver.t) and np.isfinite(solver.y).all()):
+            raise IntegrationFailure(f"non-finite state at t={solver.t:.6g}", t=solver.t)
+        dense = None
         if i < samples.size and samples[i] <= solver.t:
             dense = solver.dense_output()
             while i < samples.size and samples[i] <= solver.t:
                 ys = dense(samples[i])
                 out.append(observe(samples[i], ys) if observe is not None else ys)
                 i += 1
+    # the last step's interpolant, reused if a sample already built it
+    y_end = (dense or solver.dense_output())(t1)
 
     # samples at exactly t1 can be left over through float comparison slop
     while i < samples.size:
@@ -90,5 +103,5 @@ def solve_sampled(
 
     if observe is not None and out and isinstance(out[0], tuple):
         # observable callback returned tuples: split into one array per component
-        return samples, [np.asarray(comp) for comp in zip(*out)]
-    return samples, np.asarray(out)
+        return [np.asarray(comp) for comp in zip(*out)], y_end
+    return np.asarray(out), y_end

@@ -15,6 +15,7 @@ unit; only `coupling` computes a dimensional value, and it reports both.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -38,7 +39,7 @@ from .lindblad import (
     population_series,
     standard_collapse_ops,
 )
-from .maxwell_bloch import integrate_mbe, rabi_kick, rabi_scaling_fit
+from .maxwell_bloch import rabi_scaling_fit
 from .output import write_csv, write_json
 from .params import ModelParams
 from .phase_diagram import grid_scan
@@ -167,7 +168,12 @@ def _apply(field, value, path):
     if field.kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be a finite number, got {value}")
     elif field.kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer")
@@ -268,11 +274,9 @@ _SCHEMAS = {
             "n_samples": _int(required=False, default=400, positive=True),
         }),
         "options": _sec({
-            "rwa": _bool(required=False, default=True),
             "collective_coupling": _bool(required=False, default=False),
             "check": _bool(required=False, default=True),
-        }, required=False, default={"rwa": True, "collective_coupling": False,
-                                    "check": True}),
+        }, required=False, default={"collective_coupling": False, "check": True}),
         "tolerances": _tol_sec(1e-10, 1e-12),
         "dump_operators": _bool(required=False, default=False),
     }),
@@ -415,15 +419,7 @@ def _run_rabi(cfg, out, prefix, map_fn, verbose):
                 "r2": fit.r_squared},
     }))
     if cfg["emit_traces"]:
-        for n, _, _ in fit.points:
-            pn = replace(p0, n_nuclei=n)
-            drive = rabi_kick(pn, target_alpha=kick["target_alpha"])
-            omega = np.sqrt(n * p0.g**2
-                            - ((p0.kappa_vuv - p0.gamma_minus) / 4.0) ** 2)
-            t_end = drive.center + kick["n_periods"] * TWO_PI / omega
-            ts = integrate_mbe(pn, drive, (0.0, t_end),
-                               n_samples=tol["n_samples"],
-                               rtol=tol["rtol"], atol=tol["atol"])
+        for (n, _, _), ts in zip(fit.points, fit.traces):
             files.append(write_csv(out / f"{prefix}_trace_n{n}.csv",
                                    _MBE_TRACE_HEADER, _mbe_trace_rows(ts)))
             if verbose:
@@ -444,13 +440,11 @@ def _run_lindblad11(cfg, out, prefix, map_fn, verbose):
     if p.pump_amp != 0.0:
         def hamiltonian(t):
             return build_hamiltonian_operators(
-                p, t, rwa=opts["rwa"],
-                collective_coupling=opts["collective_coupling"])
+                p, t, collective_coupling=opts["collective_coupling"])
         max_step = p.pump_width / 2.0
     else:
         hamiltonian = build_hamiltonian_operators(
-            p, 0.0, rwa=opts["rwa"],
-            collective_coupling=opts["collective_coupling"])
+            p, 0.0, collective_coupling=opts["collective_coupling"])
         max_step = np.inf
 
     collapse = standard_collapse_ops(

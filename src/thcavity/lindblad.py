@@ -352,7 +352,7 @@ def integrate_master(
 
     rhs = _master_rhs_factory(hamiltonian, collapse_ops, dim)
     samples = np.linspace(t_span[0], t_span[1], int(n_samples))
-    _, flat = solve_sampled(rhs, t_span, rho0.ravel(), samples,
+    flat, _ = solve_sampled(rhs, t_span, rho0.ravel(), samples,
                             method=method, rtol=rtol, atol=atol, max_step=max_step)
     rhos = flat.reshape(len(samples), dim, dim)
 

@@ -140,30 +140,20 @@ def integrate_mbe(
     t0, t1 = t_span
     samples = np.linspace(t0, t1, int(n_samples))
 
-    if drive.kind == "gaussian" and drive.amplitude != 0:
-        # resolve the pulse, then run free
-        t_pulse = min(t1, drive.center + 6.0 * drive.width)
-        if t_pulse > t0:
-            head = samples[samples <= t_pulse]
-            tail = samples[samples > t_pulse]
-            _, ys_head = solve_sampled(
-                rhs, (t0, t_pulse), y0,
-                np.concatenate([head, [t_pulse]]),
-                method=method, rtol=rtol, atol=atol, max_step=drive.width / 2.0,
-            )
-            values = list(ys_head[:-1])
-            if tail.size:
-                _, ys_tail = solve_sampled(
-                    rhs, (t_pulse, t1), ys_head[-1], tail,
-                    method=method, rtol=rtol, atol=atol,
-                )
-                values.extend(ys_tail)
-            values = np.asarray(values)
-        else:
-            _, values = solve_sampled(rhs, (t0, t1), y0, samples,
-                                      method=method, rtol=rtol, atol=atol)
+    # a gaussian drive: resolve the pulse with a bounded step, then run free
+    t_pulse = min(t1, drive.center + 6.0 * drive.width)
+    if drive.kind == "gaussian" and drive.amplitude != 0 and t_pulse > t0:
+        tail = samples[samples > t_pulse]
+        values, y_pulse = solve_sampled(
+            rhs, (t0, t_pulse), y0, samples[samples <= t_pulse],
+            method=method, rtol=rtol, atol=atol, max_step=drive.width / 2.0,
+        )
+        if tail.size:
+            ys_tail, _ = solve_sampled(rhs, (t_pulse, t1), y_pulse, tail,
+                                       method=method, rtol=rtol, atol=atol)
+            values = np.concatenate([values, ys_tail])
     else:
-        _, values = solve_sampled(rhs, (t0, t1), y0, samples,
+        values, _ = solve_sampled(rhs, (t0, t1), y0, samples,
                                   method=method, rtol=rtol, atol=atol)
 
     return TimeSeries(
@@ -283,15 +273,16 @@ class RabiFit:
     intercept: float
     r_squared: float
     points: tuple  # (n, sqrt_n, omega_rabi) triples
+    traces: tuple  # integrate_mbe TimeSeries, one per point
 
 
 def _rabi_scan_point(n, p, drive, n_periods, target_alpha, n_samples, rtol, atol):
-    # one scan point; returns (n, omega or None, failure message or None)
+    # one scan point; returns (n, omega or None, failure message or None, trace)
     pn = replace(p, n_nuclei=n)
     kick = drive if drive is not None else rabi_kick(pn, target_alpha=target_alpha)
     omega2 = n * p.g**2 - ((p.kappa_vuv - p.gamma_minus) / 4.0) ** 2
     if omega2 <= 0:
-        return (n, None, "overdamped (negative oscillation frequency squared)")
+        return (n, None, "overdamped (negative oscillation frequency squared)", None)
     period = 2.0 * math.pi / math.sqrt(omega2)
     t_end = kick.center + n_periods * period
     trace = integrate_mbe(pn, kick, (0.0, t_end),
@@ -299,8 +290,8 @@ def _rabi_scan_point(n, p, drive, n_periods, target_alpha, n_samples, rtol, atol
     try:
         w = extract_rabi_frequency(trace, transient_fraction=0.05)
     except OverdampedSignalError as err:
-        return (n, None, str(err))
-    return (n, w, None)
+        return (n, None, str(err), None)
+    return (n, w, None, trace)
 
 
 def rabi_scaling_fit(
@@ -330,12 +321,14 @@ def rabi_scaling_fit(
                    target_alpha=target_alpha, n_samples=n_samples,
                    rtol=rtol, atol=atol)
     points = []
+    traces = []
     failures = []
-    for n, w, msg in map_fn(work, ns):
+    for n, w, msg, trace in map_fn(work, ns):
         if w is None:
             failures.append((n, msg))
         else:
             points.append((n, math.sqrt(n), w))
+            traces.append(trace)
 
     if len({n for n, _, _ in points}) < 4:
         raise OverdampedSignalError(
@@ -346,4 +339,5 @@ def rabi_scaling_fit(
     y = np.array([w for _, _, w in points])
     fit = fit_line(x, y)
     return RabiFit(slope=fit.slope, intercept=fit.intercept,
-                   r_squared=fit.r_squared, points=tuple(points))
+                   r_squared=fit.r_squared, points=tuple(points),
+                   traces=tuple(traces))

@@ -233,22 +233,17 @@ def simulate_superradiance(
     pumping = model.pump.kind == "gaussian" and model.pump.amplitude != 0 and t_off > t0
 
     if pumping and t_off < t1:
-        head = samples[samples <= t_off]
-        tail = samples[samples > t_off]
-        # carry the state across the seam exactly at t_off
-        _, states = solve_sampled(rhs_pumped, (t0, t_off), rho0.ravel(),
-                                  np.array([t_off]), method=method, rtol=rtol,
-                                  atol=atol, max_step=model.pump.width / 2.0)
-        rho_off = states[-1]
-        _, obs_head = solve_sampled(rhs_pumped, (t0, t_off), rho0.ravel(), head,
-                                    observe=observe, method=method, rtol=rtol,
-                                    atol=atol, max_step=model.pump.width / 2.0)
-        _, obs_tail = solve_sampled(rhs_free, (t_off, t1), rho_off, tail,
+        # the free decay starts from the pumped solve's state at t_off
+        obs_head, rho_off = solve_sampled(rhs_pumped, (t0, t_off), rho0.ravel(),
+                                          samples[samples <= t_off], observe=observe,
+                                          method=method, rtol=rtol, atol=atol,
+                                          max_step=model.pump.width / 2.0)
+        obs_tail, _ = solve_sampled(rhs_free, (t_off, t1), rho_off, samples[samples > t_off],
                                     observe=observe, method=method, rtol=rtol, atol=atol)
         parts = [np.concatenate([a, b]) for a, b in zip(obs_head, obs_tail)]
     else:
         rhs = rhs_pumped if pumping else rhs_free
-        _, parts = solve_sampled(rhs, t_span, rho0.ravel(), samples,
+        parts, _ = solve_sampled(rhs, t_span, rho0.ravel(), samples,
                                  observe=observe, method=method, rtol=rtol, atol=atol,
                                  max_step=model.pump.width / 2.0 if pumping else np.inf)
 

@@ -134,7 +134,7 @@ def integrate_sweep(
 
     y0 = np.array([1.0 + 0.0j, 0.0j])
     samples = np.linspace(t0, t1, int(n_samples))
-    _, amps = solve_sampled(rhs, (t0, t1), y0, samples,
+    amps, _ = solve_sampled(rhs, (t0, t1), y0, samples,
                             method=method, rtol=rtol, atol=atol)
 
     # int_{t0}^{t} delta/2 ds = (delta0 / 2k) [log cosh(kt) - log cosh(kt0)]

@@ -1,12 +1,16 @@
 """Exit codes, schema rejection, and artifact determinism of the batch runner."""
 
 import json
+import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from thcavity.cli import ConfigError, list_experiments, main, run_config
+from thcavity.maxwell_bloch import integrate_mbe, rabi_kick
+from thcavity.params import ModelParams
 
 SPECTRUM_YAML = """\
 experiment: spectrum
@@ -159,15 +163,30 @@ def test_spectrum_csv_contents(tmp_path):
 
 
 def test_rabi_jobs_do_not_change_the_artifacts(tmp_path):
-    cfg = write(tmp_path, RABI_YAML)
+    cfg = write(tmp_path, RABI_YAML + "emit_traces: true\n")
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert main(["rabi", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == 0
     assert main(["rabi", "--config", cfg, "--out", str(pooled), "--jobs", "2"]) == 0
-    for name in ("rabi.csv", "rabi_fit.json"):
+    ns = (16, 25, 36, 49)
+    traces = [f"rabi_trace_n{n}.csv" for n in ns]
+    for name in ("rabi.csv", "rabi_fit.json", *traces):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
     fit = json.loads((serial / "rabi_fit.json").read_text())
     assert fit["fit"]["slope"] == pytest.approx(1.0, rel=0.02)
     assert fit["fit"]["r2"] > 0.999
+
+    # each written trace is the run the fit read its frequency from
+    for n, name in zip(ns, traces):
+        p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=0.001, n_nuclei=n)
+        kick = rabi_kick(p)
+        omega = math.sqrt(n - ((0.5 - 0.001) / 4.0) ** 2)
+        ts = integrate_mbe(p, kick, (0.0, kick.center + 6.0 * (2.0 * math.pi / omega)),
+                           n_samples=1200)
+        a_re, a_im = ts.column("re_alpha"), ts.column("im_alpha")
+        expected = np.column_stack([ts.times, a_re, a_im, a_re**2 + a_im**2,
+                                    ts.column("re_p"), ts.column("im_p"), ts.column("z")])
+        written = np.loadtxt(serial / name, delimiter=",", skiprows=1)
+        assert np.array_equal(written, expected)
 
 
 def test_sweep_single_run_artifacts(tmp_path):
@@ -264,10 +283,27 @@ def test_unknown_keys_are_rejected_with_their_path(tmp_path, capsys):
     assert "unknown field: scan.stride" in capsys.readouterr().err
 
 
-def test_negative_rate_is_a_config_error(tmp_path, capsys):
-    cfg = write(tmp_path, RABI_YAML.replace("kappa_vuv: 0.5", "kappa_vuv: -0.5"))
-    assert main(["rabi", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "model.kappa_vuv" in capsys.readouterr().err
+# a non-finite number must never hang a run (delta0), write nan cells with
+# exit 0 (grid bound) or exit 1 (t_start)
+@pytest.mark.parametrize("command, text, old, new, path", [
+    pytest.param("rabi", RABI_YAML, "kappa_vuv: 0.5", "kappa_vuv: -0.5",
+                 "model.kappa_vuv", id="negative"),
+    pytest.param("sweep", SWEEP_YAML, "delta0: 30.0", "delta0: .inf",
+                 "protocol.delta0", id="inf"),
+    pytest.param("sweep", SWEEP_YAML, "delta0: 30.0", "delta0: -.inf",
+                 "protocol.delta0", id="minus-inf"),
+    pytest.param("sweep", SWEEP_YAML, "rate_k: 1.0", "rate_k: 1.0\n  t_start: .nan",
+                 "protocol.t_start", id="nan"),
+    pytest.param("phase-diagram", PHASE_YAML, "max: 1000.0", "max: .inf",
+                 "grid.kappa.max", id="inf-grid-bound"),
+    pytest.param("sweep", SWEEP_YAML, "omega: 1.0", "omega: 1" + "0" * 400,
+                 "protocol.omega", id="int-beyond-float"),
+])
+def test_negative_rate_is_a_config_error(tmp_path, capsys, command, text, old, new, path):
+    assert old in text
+    cfg = write(tmp_path, text.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}:" in capsys.readouterr().err
 
 
 def test_bool_is_not_a_number(tmp_path, capsys):

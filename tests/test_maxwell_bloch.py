@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from thcavity import maxwell_bloch
+from thcavity._integrate import solve_sampled
 from thcavity.maxwell_bloch import (
     MBE_COLUMNS,
     DriveProfile,
@@ -149,6 +151,22 @@ def test_kick_deposits_the_target_amplitude():
     assert abs(alpha_series(ts)[-1]) == pytest.approx(0.01, rel=1e-3)
 
 
+def test_kick_and_free_run_are_each_solved_once(spy_solves):
+    """The free run starts from the pulse solve's end state, bit for bit equal
+    to the former path that appended the seam time to the pulse samples."""
+    calls = spy_solves(maxwell_bloch)
+    p = params(n_nuclei=25)
+    kick = rabi_kick(p)
+    ts = integrate_mbe(p, kick, (0.0, 30.0), n_samples=500)
+
+    assert len(calls) == 2
+    (rhs, span_k, y0, head, kw_k), (_, span_f, _, tail, kw_f) = calls
+    assert span_k[1] == span_f[0] == kick.center + 6.0 * kick.width
+    ys, _ = solve_sampled(rhs, span_k, y0, np.append(head, span_k[1]), **kw_k)
+    ys_tail, _ = solve_sampled(rhs, span_f, ys[-1], tail, **kw_f)
+    assert np.array_equal(ts.values, np.concatenate([ys[:-1], ys_tail]))
+
+
 def test_kick_needs_a_rate_scale():
     with pytest.raises(ValueError, match="rate"):
         rabi_kick(ModelParams(g=0.0, kappa_vuv=0.0, gamma_minus=0.0, n_nuclei=1))
@@ -162,6 +180,9 @@ def test_scaling_fit_recovers_the_coupling():
     assert len(fit.points) == 4
     ns = [n for n, _, _ in fit.points]
     assert ns == sorted(ns)
+    assert [tr.meta["params"].n_nuclei for tr in fit.traces] == ns
+    for (_, _, w), tr in zip(fit.points, fit.traces):
+        assert extract_rabi_frequency(tr, transient_fraction=0.05) == w
 
 
 def test_scaling_fit_needs_four_points():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from thcavity import superradiance
+from thcavity._integrate import solve_sampled
 from thcavity.lindblad import integrate_master
 from thcavity.maxwell_bloch import OFF
 from thcavity.params import ModelParams, TimeSeries
@@ -92,6 +94,27 @@ def test_single_nucleus_agrees_with_dense_master_equation():
                            max_step=sigma / 2)
     np.testing.assert_allclose(ts.column("intensity"),
                                gamma * ref.values[:, 1, 1].real, atol=1e-7)
+
+
+# at N = 12 the RK45 step's own end state differs from the dense value in the
+# last bits, so only the dense value at t_off passes there
+@pytest.mark.parametrize("n", [1, 4, 12, 16])
+def test_burst_matches_the_two_pass_path(spy_solves, n):
+    """One pumped and one free solve, bit for bit equal to the former path
+    that integrated the pump a second time only to get the switch-off state."""
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    calls = spy_solves(superradiance)
+    ts = simulate_superradiance(model, DickeSpace(n), n_samples=300)
+
+    assert len(calls) == 2
+    (rhs_p, span_p, rho0, head, kw_p), (rhs_f, span_f, _, tail, kw_f) = calls
+    assert span_p[1] == span_f[0] == pump_off_time(model.pump)
+    state_kw = {k: v for k, v in kw_p.items() if k != "observe"}
+    states, _ = solve_sampled(rhs_p, span_p, rho0, np.array([span_p[1]]), **state_kw)
+    obs_head, _ = solve_sampled(rhs_p, span_p, rho0, head, **kw_p)
+    obs_tail, _ = solve_sampled(rhs_f, span_f, states[-1], tail, **kw_f)
+    two_pass = np.column_stack([np.concatenate(ab) for ab in zip(obs_head, obs_tail)])
+    assert np.array_equal(ts.values, two_pass)
 
 
 @pytest.mark.parametrize("n", [4, 40])

@@ -78,7 +78,7 @@ def test_matches_brute_force_lab_frame_integration():
         d = d0 * math.tanh(k * t)
         return np.array([-1j * (d * y[0] + w * y[1]), -1j * w * y[0]])
 
-    _, ref = solve_sampled(rhs, proto.window, np.array([1.0 + 0j, 0j]),
+    ref, _ = solve_sampled(rhs, proto.window, np.array([1.0 + 0j, 0j]),
                            ts.times, method="DOP853", rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(ts.values, ref, atol=1e-9)
 
