@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run every figure config in scripts/configs and collect the artifacts.
 
-Each config lands in <out>/<prefix>/; pass --only to run a subset by config
-stem substring.  The superradiance scan is the slow one (a few minutes).
+Each config lands in <out>/<prefix>/; pass --only name,... to run only the
+configs whose stem contains one of the comma-separated names.  The
+superradiance scan is the slow one (a few minutes).
 """
 
 import argparse
+import logging
 import sys
 import time
 from pathlib import Path
@@ -19,14 +21,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="runs", help="output root directory")
     parser.add_argument("--only", default=None,
-                        help="run only configs whose stem contains this")
+                        help="comma-separated names; run only configs whose "
+                             "stem contains one of them")
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if not args.quiet:
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
 
     configs = sorted(CONFIG_DIR.glob("*.yaml"))
     if args.only is not None:
-        configs = [c for c in configs if args.only in c.stem]
+        names = [n for n in args.only.split(",") if n]
+        configs = [c for c in configs if any(n in c.stem for n in names)]
     if not configs:
         print("no configs matched", file=sys.stderr)
         return 1
@@ -36,8 +42,7 @@ def main(argv=None) -> int:
         out = Path(args.out) / cfg.stem
         start = time.perf_counter()
         try:
-            manifest = run_config(cfg, out_dir=out, jobs=args.jobs,
-                                  verbose=not args.quiet)
+            manifest = run_config(cfg, out_dir=out, jobs=args.jobs)
         except ConfigError as err:
             print(f"{cfg.stem}: config error: {err}", file=sys.stderr)
             failures += 1

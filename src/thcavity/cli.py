@@ -15,6 +15,7 @@ unit; only `coupling` computes a dimensional value, and it reports both.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 import time
@@ -65,6 +66,8 @@ from .sweep import (
 __all__ = ["ConfigError", "run_config", "main"]
 
 TWO_PI = 2.0 * np.pi
+
+_log = logging.getLogger("thcavity")
 
 
 class ConfigError(Exception):
@@ -345,7 +348,7 @@ def _build(ctor, path, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # experiment runners; each returns the list of files it wrote
 
-def _run_coupling(cfg, out, prefix, map_fn, verbose):
+def _run_coupling(cfg, out, prefix, map_fn):
     tr = _build(NuclearTransition, "transition",
                 wavelength=cfg["transition"]["wavelength"],
                 vacuum_lifetime=cfg["transition"]["vacuum_lifetime"],
@@ -377,7 +380,7 @@ def _run_coupling(cfg, out, prefix, map_fn, verbose):
     return [write_json(out / f"{prefix}.json", payload)]
 
 
-def _run_spectrum(cfg, out, prefix, map_fn, verbose):
+def _run_spectrum(cfg, out, prefix, map_fn):
     scan = cfg["scan"]
     if not scan["delta_max"] > scan["delta_min"]:
         raise ConfigError("scan.delta_max: must exceed scan.delta_min")
@@ -400,7 +403,7 @@ def _mbe_trace_rows(ts):
                     ts.column("re_p"), ts.column("im_p"), ts.column("z")))
 
 
-def _run_rabi(cfg, out, prefix, map_fn, verbose):
+def _run_rabi(cfg, out, prefix, map_fn):
     mod, tol, kick = cfg["model"], cfg["tolerances"], cfg["kick"]
     ns = cfg["scan"]["n_nuclei"]
     p0 = _build(ModelParams, "model", g=mod["g"], kappa_vuv=mod["kappa_vuv"],
@@ -422,12 +425,11 @@ def _run_rabi(cfg, out, prefix, map_fn, verbose):
         for (n, _, _), ts in zip(fit.points, fit.traces):
             files.append(write_csv(out / f"{prefix}_trace_n{n}.csv",
                                    _MBE_TRACE_HEADER, _mbe_trace_rows(ts)))
-            if verbose:
-                print(f"[rabi] trace N={n} done", file=sys.stderr)
+            _log.info("[rabi] trace N=%d done", n)
     return files
 
 
-def _run_lindblad11(cfg, out, prefix, map_fn, verbose):
+def _run_lindblad11(cfg, out, prefix, map_fn):
     mod = dict(cfg["model"])
     opts, tol = cfg["options"], cfg["tolerances"]
     p = _build(ModelParams, "model", **mod)
@@ -483,7 +485,7 @@ def _superradiance_run(n, p, sigma, fraction, n_samples, rtol, atol):
                                   n_samples=n_samples, rtol=rtol, atol=atol)
 
 
-def _run_superradiance(cfg, out, prefix, map_fn, verbose):
+def _run_superradiance(cfg, out, prefix, map_fn):
     mod, pump, tol = cfg["model"], cfg["pump"], cfg["tolerances"]
     ns = cfg["runs"]["n_nuclei"]
     p = _build(ModelParams, "model", g=mod["g"], kappa_vuv=mod["kappa_vuv"],
@@ -512,8 +514,7 @@ def _run_superradiance(cfg, out, prefix, map_fn, verbose):
             "t_burst": float(seg_t[peak]),
             "tau_eff": pulse_width_fwhm(seg_t, seg_i),
         }))
-        if verbose:
-            print(f"[superradiance] N={n} done", file=sys.stderr)
+        _log.info("[superradiance] N=%d done", n)
 
     distinct = sorted({int(n) for n in ns})
     if len(distinct) >= 5 and distinct[-1] >= 4 * distinct[0]:
@@ -524,13 +525,12 @@ def _run_superradiance(cfg, out, prefix, map_fn, verbose):
             "r2": fit.r_squared,
             "points": [[n, i] for n, i in fit.points],
         }))
-    elif verbose:
-        print("[superradiance] too few N values for a peak-scaling fit",
-              file=sys.stderr)
+    else:
+        _log.info("[superradiance] too few N values for a peak-scaling fit")
     return files
 
 
-def _run_lifetime(cfg, out, prefix, map_fn, verbose):
+def _run_lifetime(cfg, out, prefix, map_fn):
     mod, pump, tol = cfg["model"], cfg["pump"], cfg["tolerances"]
     kappas = cfg["scan"]["kappa_vuv"]
     p = _build(ModelParams, "model", g=mod["g"], gamma_minus=mod["gamma_minus"],
@@ -553,7 +553,7 @@ def _run_lifetime(cfg, out, prefix, map_fn, verbose):
     return files
 
 
-def _run_sweep(cfg, out, prefix, map_fn, verbose):
+def _run_sweep(cfg, out, prefix, map_fn):
     proto_cfg, tol = cfg["protocol"], cfg["tolerances"]
 
     if "scan" in cfg:
@@ -603,7 +603,7 @@ def _run_sweep(cfg, out, prefix, map_fn, verbose):
     return files
 
 
-def _run_phase_diagram(cfg, out, prefix, map_fn, verbose):
+def _run_phase_diagram(cfg, out, prefix, map_fn):
     mod, grid = cfg["model"], cfg["grid"]
     if mod["gamma_minus"] <= 0:
         raise ConfigError("model.gamma_minus: must be > 0 (cooperativity)")
@@ -669,8 +669,7 @@ def _pool_map(jobs):
         yield pool.map
 
 
-def run_config(config_path, *, out_dir=None, jobs=None, verbose=False,
-               expected=None):
+def run_config(config_path, *, out_dir=None, jobs=None, expected=None):
     """Validate and run one experiment config; returns the manifest dict."""
     raw = _load_config(config_path)
     name = raw.get("experiment")
@@ -695,7 +694,7 @@ def run_config(config_path, *, out_dir=None, jobs=None, verbose=False,
 
     start = time.perf_counter()
     with pool as map_fn:
-        files = _RUNNERS[name](cfg, out, prefix, map_fn, verbose)
+        files = _RUNNERS[name](cfg, out, prefix, map_fn)
     duration = time.perf_counter() - start
 
     manifest = {
@@ -707,9 +706,8 @@ def run_config(config_path, *, out_dir=None, jobs=None, verbose=False,
         "outputs": sorted(Path(f).name for f in files),
     }
     write_json(out / "manifest.json", manifest)
-    if verbose:
-        print(f"[{name}] wrote {len(files) + 1} files to {out} "
-              f"in {duration:.2f}s", file=sys.stderr)
+    _log.info("[%s] wrote %d files to %s in %.2fs", name, len(files) + 1, out,
+              duration)
     return manifest
 
 
@@ -725,7 +723,8 @@ def main(argv=None) -> int:
                         help="output directory (default runs/<experiment>)")
         sp.add_argument("--jobs", type=int, default=None,
                         help="parallel grid evaluations (default: all cores)")
-        sp.add_argument("--verbose", action="store_true")
+        sp.add_argument("--verbose", action="store_true",
+                        help="log progress to stderr")
     sub.add_parser("list", help="list experiments and the figure each feeds")
 
     args = parser.parse_args(argv)
@@ -734,10 +733,12 @@ def main(argv=None) -> int:
         return 0
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
 
     try:
         run_config(args.config, out_dir=args.out, jobs=args.jobs,
-                   verbose=args.verbose, expected=args.command)
+                   expected=args.command)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

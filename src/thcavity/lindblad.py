@@ -85,6 +85,42 @@ def _product_index(s: BasisState) -> int:
 
 _BASIS_IN_PRODUCT = np.array([_product_index(s) for s in BASIS])
 
+
+def _frozen(op: np.ndarray) -> np.ndarray:
+    op.flags.writeable = False
+    return op
+
+
+def _embed(op: np.ndarray, slot: int) -> np.ndarray:
+    mats = [np.eye(d) for d in _SHAPE]
+    mats[slot] = op
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return _frozen(out)
+
+
+def _plus_hc(op: np.ndarray) -> np.ndarray:
+    return _frozen(op + op.T)
+
+
+# Bare annihilation operators on the truncated product space and the fixed
+# Hamiltonian terms built from them, all real (dagger is the transpose) and
+# read-only: a Hamiltonian is a weighted sum of these terms.
+_A_QUBIT = np.diag([1.0], 1)
+_MODES = {
+    "a1": _embed(np.diag(np.sqrt(np.arange(1.0, 3.0)), 1), 0),  # n1 <= 2
+    "a2": _embed(_A_QUBIT, 1),
+    "a_vuv": _embed(_A_QUBIT, 2),
+    "sigma_minus": _embed(_A_QUBIT, 3),
+}
+_A1, _A2, _AV, _SM = _MODES.values()
+_NUMBERS = tuple(_frozen(a.T @ a) for a in _MODES.values())
+_EXCHANGE_RWA = _plus_hc(_AV.T @ _SM)
+_EXCHANGE_FULL = _plus_hc(_AV.T @ _SM + _AV.T @ _SM.T)
+_FWM = _plus_hc(_AV.T @ _A2.T @ _A1 @ _A1)
+_PUMP = _plus_hc(_A1)
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -193,30 +229,14 @@ def build_hamiltonian_explicit(p: ModelParams, t: float = 0.0,
     return h
 
 
-def _embed(op: np.ndarray, slot: int) -> np.ndarray:
-    mats = [np.eye(d) for d in _SHAPE]
-    mats[slot] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def mode_operators() -> dict:
     """Bare annihilation operators on the truncated product space.
 
     Keys: a1, a2, a_vuv, sigma_minus.  Collective sqrt(N) enhancement is
     applied where the operators are used, never baked in here, so number
-    operators built from these stay correct.
+    operators built from these stay correct.  Each call returns fresh copies.
     """
-    a3 = np.diag(np.sqrt(np.arange(1.0, 3.0)), 1)  # truncated at n1 = 2
-    a2q = np.diag([1.0], 1)
-    return {
-        "a1": _embed(a3, 0),
-        "a2": _embed(a2q, 1),
-        "a_vuv": _embed(a2q, 2),
-        "sigma_minus": _embed(a2q, 3),
-    }
+    return {name: op.copy() for name, op in _MODES.items()}
 
 
 def project_to_basis(op: np.ndarray) -> np.ndarray:
@@ -237,27 +257,12 @@ def build_hamiltonian_operators(p: ModelParams, t: float = 0.0,
     11-state basis both agree identically (the counter-rotating terms map every
     basis state outside the set), so the flag only matters with project=False.
     """
-    ops = mode_operators()
-    a1, a2q, av, sm = ops["a1"], ops["a2"], ops["a_vuv"], ops["sigma_minus"]
-    n1 = a1.conj().T @ a1
-    n2 = a2q.conj().T @ a2q
-    nv = av.conj().T @ av
-    nn = sm.conj().T @ sm
-
+    n1, n2, nv, nn = _NUMBERS
     h = p.omega1 * n1 + p.omega2 * n2 + p.omega_vuv * nv + p.e_nuc * nn
-
     gc = p.g * math.sqrt(p.n_nuclei) if collective_coupling else p.g
-    coupling = av.conj().T @ sm
-    if not rwa:
-        coupling = coupling + av.conj().T @ sm.conj().T
-    h = h + gc * (coupling + coupling.conj().T)
-
-    fwm = av.conj().T @ a2q.conj().T @ a1 @ a1
-    h = h + p.fwm_u * (fwm + fwm.conj().T)
-
-    op_t = p.pump_envelope(t)
-    h = h + op_t * (a1 + a1.conj().T)
-
+    h = h + gc * (_EXCHANGE_RWA if rwa else _EXCHANGE_FULL)
+    h = h + p.fwm_u * _FWM
+    h = h + p.pump_envelope(t) * _PUMP
     if project:
         return project_to_basis(h)
     return h
@@ -272,14 +277,9 @@ def standard_collapse_ops(p: ModelParams, *, collective_coupling: bool = False,
     whose target lies outside the 11-state set; run with project=False on the
     full truncated product space when those channels matter.
     """
-    ops = mode_operators()
     gm = p.gamma_minus * p.n_nuclei if collective_coupling else p.gamma_minus
     pairs = (
-        (p.kappa1, ops["a1"]),
-        (p.kappa2, ops["a2"]),
-        (p.kappa_vuv, ops["a_vuv"]),
-        (gm, ops["sigma_minus"]),
-    )
+        (p.kappa1, _A1), (p.kappa2, _A2), (p.kappa_vuv, _AV), (gm, _SM))
     out = []
     for rate, op in pairs:
         if rate > 0:

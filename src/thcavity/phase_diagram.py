@@ -52,6 +52,10 @@ def classify_rates(g: float, n_nuclei: float, kappa_vuv: float,
     loss = kappa_vuv + gamma_minus
     margin_sc = (4.0 * g * sqrt_n - loss) / loss
     margin_coop = n_nuclei * g**2 / (kappa_vuv * gamma_minus) - 1.0
+    if not (math.isfinite(margin_sc) and math.isfinite(margin_coop)):
+        raise ValueError(
+            f"margins overflow at g={g}, n_nuclei={n_nuclei}, kappa_vuv={kappa_vuv}, "
+            f"gamma_minus={gamma_minus}: rates out of range")
     if margin_sc > 0.0:
         regime = "strong"
     elif margin_coop > 0.0:

@@ -1,13 +1,19 @@
 """Exit codes, schema rejection, and artifact determinism of the batch runner."""
 
 import json
+import logging
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import thcavity
 from thcavity.cli import ConfigError, list_experiments, main, run_config
 from thcavity.maxwell_bloch import integrate_mbe, rabi_kick
 from thcavity.params import ModelParams
@@ -106,6 +112,40 @@ grid:
     min: 1.0
     max: 8.0
     n: 6
+"""
+
+SUPERRADIANCE_YAML = """\
+experiment: superradiance
+unit: rad/s
+model:
+  g: 106.8
+  kappa_vuv: 2.0e+5
+  gamma_minus: 5.747126436781609e-4
+  fwm_u: 1000.0
+runs:
+  n_nuclei: [4, 6]
+pump:
+  sigma: 1.0e-4
+  fraction: 0.1
+tolerances:
+  n_samples: 200
+"""
+
+LIFETIME_YAML = """\
+experiment: lifetime
+unit: rad/s
+model:
+  g: 106.8
+  gamma_minus: 5.747126436781609e-4
+  n_nuclei: 6
+  fwm_u: 1000.0
+scan:
+  kappa_vuv: [1.0e+5, 2.0e+5, 4.0e+5]
+pump:
+  sigma: 1.0e-4
+  fraction: 0.1
+tolerances:
+  n_samples: 200
 """
 
 
@@ -298,12 +338,69 @@ def test_unknown_keys_are_rejected_with_their_path(tmp_path, capsys):
                  "grid.kappa.max", id="inf-grid-bound"),
     pytest.param("sweep", SWEEP_YAML, "omega: 1.0", "omega: 1" + "0" * 400,
                  "protocol.omega", id="int-beyond-float"),
+    # finite inputs whose regime margins overflow to inf
+    pytest.param("phase-diagram", PHASE_YAML, "max: 8.0", "max: 1.0e+200",
+                 "grid", id="overflow-sqrt-n"),
+    pytest.param("phase-diagram", PHASE_YAML, "gamma_minus: 0.1",
+                 "gamma_minus: 1.0e-320", "grid", id="overflow-gamma-minus"),
 ])
 def test_negative_rate_is_a_config_error(tmp_path, capsys, command, text, old, new, path):
     assert old in text
     cfg = write(tmp_path, text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{path}:" in capsys.readouterr().err
+
+
+# a minimal valid config of every experiment; the sweep also as a scan
+MINIMAL_CONFIGS = {
+    "coupling": COUPLING_YAML,
+    "spectrum": SPECTRUM_YAML,
+    "rabi": RABI_YAML,
+    "lindblad11": LINDBLAD_YAML,
+    "superradiance": SUPERRADIANCE_YAML,
+    "lifetime": LIFETIME_YAML,
+    "sweep": SWEEP_YAML,
+    "sweep-scan": SWEEP_SCAN_YAML,
+    "phase-diagram": PHASE_YAML,
+}
+
+
+def _numeric_leaves(node, keys=()):
+    """Key paths of every int and float leaf, list items included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [keys]
+    else:
+        return []
+    return [leaf for k, v in items for leaf in _numeric_leaves(v, keys + (k,))]
+
+
+def _dotted(keys):
+    out = ""
+    for k in keys:
+        out += f"[{k}]" if isinstance(k, int) else (f".{k}" if out else k)
+    return out
+
+
+@pytest.mark.parametrize("name, keys", [
+    pytest.param(name, keys, id=f"{name}-{_dotted(keys)}")
+    for name, text in MINIMAL_CONFIGS.items()
+    for keys in _numeric_leaves(yaml.safe_load(text))])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "minus-inf", "nan"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, name, keys, value):
+    cfg = yaml.safe_load(MINIMAL_CONFIGS[name])
+    node = cfg
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    path = write(tmp_path, yaml.safe_dump(cfg))
+    assert main([cfg["experiment"], "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{_dotted(keys)}:" in capsys.readouterr().err
 
 
 def test_bool_is_not_a_number(tmp_path, capsys):
@@ -357,3 +454,31 @@ def test_output_prefix_override(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "branches.csv").exists()
+
+
+def test_progress_goes_through_the_thcavity_logger(tmp_path, caplog, capsys):
+    caplog.set_level(logging.INFO, logger="thcavity")
+    out = tmp_path / "o"
+    assert main(["superradiance", "--config", write(tmp_path, SUPERRADIANCE_YAML),
+                 "--out", str(out), "--jobs", "1"]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "thcavity"]
+    assert messages[:3] == ["[superradiance] N=4 done", "[superradiance] N=6 done",
+                            "[superradiance] too few N values for a peak-scaling fit"]
+    assert messages[3].startswith(f"[superradiance] wrote 5 files to {out} in ")
+    assert len(messages) == 4
+    # without --verbose nothing reaches stderr
+    assert capsys.readouterr().err == ""
+
+
+def test_reproduce_figures_only_takes_a_comma_separated_list(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    src = str(Path(thcavity.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "reproduce_figures.py"),
+         "--only", "coupling,fig2de", "--out", str(tmp_path), "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coupling", "fig2de_spectrum"]
+    assert (tmp_path / "fig2de_spectrum" / "manifest.json").exists()

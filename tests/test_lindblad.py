@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thcavity.lindblad import (
     BASIS,
@@ -103,6 +105,74 @@ def test_rwa_flag_invisible_after_projection():
     full_on = build_hamiltonian_operators(p, 0.1, rwa=True, project=False)
     full_off = build_hamiltonian_operators(p, 0.1, rwa=False, project=False)
     assert np.abs(full_on - full_off).max() > 0.1
+
+
+def _kron_hamiltonian(p, t, rwa, collective_coupling, project):
+    """Oracle: the per-call construction the module's precomputed terms
+    replaced.  Each mode is embedded by Kronecker products and every product
+    is formed anew, in the same order of additions."""
+    def embed(op, slot):
+        mats = [np.eye(d) for d in (3, 2, 2, 2)]
+        mats[slot] = op
+        out = mats[0]
+        for m in mats[1:]:
+            out = np.kron(out, m)
+        return out
+
+    qubit = np.diag([1.0], 1)
+    a1 = embed(np.diag(np.sqrt(np.arange(1.0, 3.0)), 1), 0)
+    a2q, av, sm = (embed(qubit, slot) for slot in (1, 2, 3))
+    n1 = a1.conj().T @ a1
+    n2 = a2q.conj().T @ a2q
+    nv = av.conj().T @ av
+    nn = sm.conj().T @ sm
+    h = p.omega1 * n1 + p.omega2 * n2 + p.omega_vuv * nv + p.e_nuc * nn
+    gc = p.g * math.sqrt(p.n_nuclei) if collective_coupling else p.g
+    coupling = av.conj().T @ sm
+    if not rwa:
+        coupling = coupling + av.conj().T @ sm.conj().T
+    h = h + gc * (coupling + coupling.conj().T)
+    fwm = av.conj().T @ a2q.conj().T @ a1 @ a1
+    h = h + p.fwm_u * (fwm + fwm.conj().T)
+    h = h + p.pump_envelope(t) * (a1 + a1.conj().T)
+    return project_to_basis(h) if project else h
+
+
+_energy = st.floats(-1e3, 1e3, allow_nan=False)
+_rate = st.floats(0.0, 1e3, allow_nan=False)
+
+
+@given(
+    p=st.builds(ModelParams, g=_rate, kappa_vuv=_rate, gamma_minus=_rate,
+                n_nuclei=st.integers(1, 10**6), omega1=_energy, omega2=_energy,
+                omega_vuv=_energy, e_nuc=_energy, fwm_u=_rate, pump_amp=_rate,
+                pump_center=_energy, pump_width=st.floats(1e-3, 1e3)),
+    t=st.floats(-1e3, 1e3, allow_nan=False),
+    rwa=st.booleans(), collective=st.booleans(), project=st.booleans(),
+)
+def test_operator_builder_matches_the_kronecker_oracle(p, t, rwa, collective, project):
+    """The weighted sum of precomputed terms is bit for bit the per-call build."""
+    h = build_hamiltonian_operators(p, t, rwa=rwa, collective_coupling=collective,
+                                    project=project)
+    ref = _kron_hamiltonian(p, t, rwa, collective, project)
+    assert h.dtype == ref.dtype and h.shape == ref.shape
+    assert h.tobytes() == ref.tobytes()
+
+
+def test_returned_operators_do_not_alias_the_precomputed_terms():
+    p = params(omega1=0.3, omega2=-0.2, omega_vuv=0.4, e_nuc=0.5, fwm_u=0.9,
+               pump_amp=0.6, kappa1=0.2, kappa2=0.1)
+    before = build_hamiltonian_operators(p, 0.1, project=False)
+    for op in mode_operators().values():
+        op += 1.0
+    for op in standard_collapse_ops(p, project=False):
+        op += 1.0
+    build_hamiltonian_operators(p, 0.1, project=False)[:] = 1.0
+    assert build_hamiltonian_operators(p, 0.1, project=False).tobytes() == before.tobytes()
+    assert mode_operators()["a2"].max() == 1.0
+    fresh = standard_collapse_ops(p, project=False)
+    assert [op.max() for op in fresh] == pytest.approx(
+        [math.sqrt(2 * 0.2), math.sqrt(0.1), math.sqrt(0.7), math.sqrt(0.05)])
 
 
 def test_mode_operator_matrix_elements():

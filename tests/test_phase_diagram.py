@@ -53,6 +53,7 @@ def test_classify_reads_model_params():
     dict(g=1.0, n_nuclei=-1, kappa_vuv=1.0, gamma_minus=1.0),
     dict(g=1.0, n_nuclei=1, kappa_vuv=0.0, gamma_minus=1.0),
     dict(g=1.0, n_nuclei=1, kappa_vuv=1.0, gamma_minus=0.0),
+    dict(g=1.0, n_nuclei=1, kappa_vuv=1.0, gamma_minus=1e-320),   # overflows
 ])
 def test_classify_validation(kw):
     with pytest.raises(ValueError):
