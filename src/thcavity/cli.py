@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import re
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -316,7 +317,6 @@ _SCHEMAS = {
         "sampling": _sec({
             "n_samples": _int(required=False, default=4001, positive=True),
         }, required=False, default={"n_samples": 4001}),
-        "tolerances": _tol_sec(1e-12, 1e-14),
     }),
     "phase-diagram": _root({
         "model": _model_sec(("g", "gamma_minus")),
@@ -338,10 +338,15 @@ _SCHEMAS = {
 
 
 def _build(ctor, path, *args, **kwargs):
-    # library validation errors on config-supplied values are config errors
+    # library validation errors on config-supplied values are config errors,
+    # named by field when the message names exactly one keyword argument
     try:
         return ctor(*args, **kwargs)
     except (ValueError, TypeError) as err:
+        words = set(re.findall(r"[\w-]+", str(err)))   # "lab-frame" is one word
+        named = [key for key in kwargs if key in words]
+        if len(named) == 1:
+            path = _join(path, named[0])
         raise ConfigError(f"{path}: {err}") from None
 
 
@@ -554,7 +559,7 @@ def _run_lifetime(cfg, out, prefix, map_fn):
 
 
 def _run_sweep(cfg, out, prefix, map_fn):
-    proto_cfg, tol = cfg["protocol"], cfg["tolerances"]
+    proto_cfg = cfg["protocol"]
 
     if "scan" in cfg:
         if "rate_k" in proto_cfg:
@@ -564,7 +569,7 @@ def _run_sweep(cfg, out, prefix, map_fn):
                               cfg["scan"]["rate_k"],
                               samples_per_period=cfg["scan"]["samples_per_period"],
                               min_samples=cfg["sampling"]["n_samples"],
-                              rtol=tol["rtol"], atol=tol["atol"], map_fn=map_fn)
+                              map_fn=map_fn)
         files = [write_csv(out / f"{prefix}.csv", ("k", "gamma_lz", "tau_jump"),
                            list(scan.points))]
         files.append(write_json(out / f"{prefix}_fit.json", {
@@ -580,8 +585,7 @@ def _run_sweep(cfg, out, prefix, map_fn):
                    rate_k=proto_cfg["rate_k"], omega=proto_cfg["omega"],
                    t_start=proto_cfg.get("t_start"),
                    t_end=proto_cfg.get("t_end"))
-    ts = integrate_sweep(proto, n_samples=cfg["sampling"]["n_samples"],
-                         rtol=tol["rtol"], atol=tol["atol"])
+    ts = integrate_sweep(proto, n_samples=cfg["sampling"]["n_samples"])
     p_photon = np.abs(ts.column("c_photon")) ** 2
     p_nuclear = np.abs(ts.column("c_nuclear")) ** 2
     p_up, p_lp = polariton_populations(ts)

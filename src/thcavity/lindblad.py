@@ -322,7 +322,6 @@ def integrate_master(
     n_samples: int = 400,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    method: str = "DOP853",
     max_step: float = np.inf,
     check: bool = True,
 ) -> TimeSeries:
@@ -353,11 +352,11 @@ def integrate_master(
     rhs = _master_rhs_factory(hamiltonian, collapse_ops, dim)
     samples = np.linspace(t_span[0], t_span[1], int(n_samples))
     flat, _ = solve_sampled(rhs, t_span, rho0.ravel(), samples,
-                            method=method, rtol=rtol, atol=atol, max_step=max_step)
+                            rtol=rtol, atol=atol, max_step=max_step)
     rhos = flat.reshape(len(samples), dim, dim)
 
     ts = TimeSeries(times=samples, values=rhos,
-                    meta={"rtol": rtol, "atol": atol, "method": method})
+                    meta={"rtol": rtol, "atol": atol})
     if check:
         traces = np.einsum("tii->t", rhos)
         drift = np.abs(traces - 1.0).max()

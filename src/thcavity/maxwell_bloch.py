@@ -99,7 +99,6 @@ def integrate_mbe(
     n_samples: int = 2000,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    method: str = "DOP853",
     freeze_inversion: bool = False,
 ) -> TimeSeries:
     """Integrate the mean-field equations over t_span.
@@ -146,15 +145,14 @@ def integrate_mbe(
         tail = samples[samples > t_pulse]
         values, y_pulse = solve_sampled(
             rhs, (t0, t_pulse), y0, samples[samples <= t_pulse],
-            method=method, rtol=rtol, atol=atol, max_step=drive.width / 2.0,
+            rtol=rtol, atol=atol, max_step=drive.width / 2.0,
         )
         if tail.size:
             ys_tail, _ = solve_sampled(rhs, (t_pulse, t1), y_pulse, tail,
-                                       method=method, rtol=rtol, atol=atol)
+                                       rtol=rtol, atol=atol)
             values = np.concatenate([values, ys_tail])
     else:
-        values, _ = solve_sampled(rhs, (t0, t1), y0, samples,
-                                  method=method, rtol=rtol, atol=atol)
+        values, _ = solve_sampled(rhs, (t0, t1), y0, samples, rtol=rtol, atol=atol)
 
     return TimeSeries(
         times=samples,

@@ -174,7 +174,6 @@ def simulate_superradiance(
     n_samples: int = 1200,
     rtol: float = 1e-7,
     atol: float = 1e-9,
-    method: str = "RK45",
 ) -> TimeSeries:
     """Evolve from the fully de-excited state; record intensity, g1, <Jz>.
 
@@ -236,15 +235,15 @@ def simulate_superradiance(
         # the free decay starts from the pumped solve's state at t_off
         obs_head, rho_off = solve_sampled(rhs_pumped, (t0, t_off), rho0.ravel(),
                                           samples[samples <= t_off], observe=observe,
-                                          method=method, rtol=rtol, atol=atol,
+                                          method="RK45", rtol=rtol, atol=atol,
                                           max_step=model.pump.width / 2.0)
         obs_tail, _ = solve_sampled(rhs_free, (t_off, t1), rho_off, samples[samples > t_off],
-                                    observe=observe, method=method, rtol=rtol, atol=atol)
+                                    observe=observe, method="RK45", rtol=rtol, atol=atol)
         parts = [np.concatenate([a, b]) for a, b in zip(obs_head, obs_tail)]
     else:
         rhs = rhs_pumped if pumping else rhs_free
         parts, _ = solve_sampled(rhs, t_span, rho0.ravel(), samples,
-                                 observe=observe, method=method, rtol=rtol, atol=atol,
+                                 observe=observe, method="RK45", rtol=rtol, atol=atol,
                                  max_step=model.pump.width / 2.0 if pumping else np.inf)
 
     values = np.column_stack(parts)

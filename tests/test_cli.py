@@ -257,6 +257,12 @@ def test_sweep_rejects_rate_in_both_places(tmp_path, capsys):
     assert "protocol.rate_k" in capsys.readouterr().err
 
 
+def test_sweep_takes_no_tolerances(tmp_path, capsys):
+    cfg = write(tmp_path, SWEEP_YAML + "tolerances:\n  rtol: 1.0e-10\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown field: tolerances" in capsys.readouterr().err
+
+
 def test_sweep_requires_a_rate_somewhere(tmp_path, capsys):
     bad = SWEEP_YAML.replace("  rate_k: 1.0\n", "")
     cfg = write(tmp_path, bad)
@@ -338,6 +344,10 @@ def test_unknown_keys_are_rejected_with_their_path(tmp_path, capsys):
                  "grid.kappa.max", id="inf-grid-bound"),
     pytest.param("sweep", SWEEP_YAML, "omega: 1.0", "omega: 1" + "0" * 400,
                  "protocol.omega", id="int-beyond-float"),
+    # a library check on one field is reported under that field
+    pytest.param("lindblad11", LINDBLAD_YAML, "fwm_u: 2.0",
+                 "fwm_u: 2.0\n  frame: lab\n  omega2: -0.27",
+                 "model.omega2", id="lab-frame-omega2"),
     # finite inputs whose regime margins overflow to inf
     pytest.param("phase-diagram", PHASE_YAML, "max: 8.0", "max: 1.0e+200",
                  "grid", id="overflow-sqrt-n"),

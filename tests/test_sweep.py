@@ -3,12 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from thcavity._integrate import solve_sampled
+from thcavity._integrate import IntegrationFailure, solve_sampled
 from thcavity.sweep import (
+    _DOUBLING_TOL,
     NoJumpError,
     NormDriftError,
     SweepProtocol,
+    _chain,
+    _interval_propagators,
+    _log_cosh,
     integrate_sweep,
     jump_time,
     jump_time_scan,
@@ -81,6 +87,80 @@ def test_matches_brute_force_lab_frame_integration():
     ref, _ = solve_sampled(rhs, proto.window, np.array([1.0 + 0j, 0j]),
                            ts.times, method="DOP853", rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(ts.values, ref, atol=1e-9)
+
+
+def dop853_sweep(proto, n_samples):
+    """The sweep by DOP853 at rtol 1e-12 in the traceless frame, with the
+    global phase restored at the samples: the propagator's oracle."""
+    half, k, w = 0.5 * proto.delta0, proto.rate_k, proto.omega
+
+    def rhs(t, y):
+        dh = half * math.tanh(k * t)
+        return np.array([-1j * (dh * y[0] + w * y[1]),
+                         -1j * (w * y[0] - dh * y[1])])
+
+    t0, t1 = proto.window
+    samples = np.linspace(t0, t1, n_samples)
+    amps, _ = solve_sampled(rhs, (t0, t1), np.array([1.0 + 0j, 0j]), samples,
+                            method="DOP853", rtol=1e-12, atol=1e-14)
+    phase = (half / k) * (_log_cosh(k * samples) - _log_cosh(k * t0))
+    return amps * np.exp(-1j * phase)[:, None]
+
+
+@pytest.mark.parametrize("proto", [
+    # adiabatic: LZ parameter 2, the photon is stored in the nucleus
+    SweepProtocol(delta0=20.0, rate_k=math.pi / 40.0, omega=1.0,
+                  t_start=-2.0 * 40.0 / math.pi, t_end=2.0 * 40.0 / math.pi),
+    # diabatic: LZ parameter 0.25
+    SweepProtocol(delta0=50.0, rate_k=math.pi / 12.5, omega=1.0),
+    # reversed: the detuning falls through the crossing
+    SweepProtocol(delta0=-30.0, rate_k=0.5, omega=1.0),
+], ids=["adiabatic", "diabatic", "reversed"])
+def test_matches_the_dop853_oracle(proto):
+    ts = integrate_sweep(proto, n_samples=401)
+    np.testing.assert_allclose(ts.values, dop853_sweep(proto, 401), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=40)
+@given(ratio=st.floats(3.0, 60.0), sign=st.sampled_from([-1.0, 1.0]),
+       rate_k=st.floats(0.5, 20.0),
+       omega=st.one_of(st.just(0.0), st.floats(0.05, 4.0)))
+def test_propagator_is_unitary(ratio, sign, rate_k, omega):
+    delta0 = sign * ratio * (omega if omega > 0 else 1.0)
+    assume(abs(delta0) >= 3.0 * omega)
+    proto = quiet_protocol(delta0, rate_k, omega)
+    times = np.linspace(*proto.window, 51)
+    a, b = _interval_propagators(times, proto, 4)
+    np.testing.assert_allclose(np.abs(a) ** 2 + np.abs(b) ** 2, 1.0, rtol=0, atol=1e-14)
+    assert integrate_sweep(proto, n_samples=201).meta["max_norm_drift"] < 1e-12
+
+
+def test_step_is_fourth_order():
+    # halving the step cuts the error 16-fold; without the commutator term
+    # b_y the step would be second order and cut it 4-fold
+    proto = SweepProtocol(delta0=30.0, rate_k=1.0, omega=1.0)
+    times = np.linspace(*proto.window, 101)
+    ref = _chain(*_interval_propagators(times, proto, 256))
+    errs = [np.abs(_chain(*_interval_propagators(times, proto, m)) - ref).max()
+            for m in (2, 4, 8)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_meta_records_the_step_doubling():
+    proto = SweepProtocol(delta0=30.0, rate_k=1.0, omega=1.0)
+    meta = integrate_sweep(proto, n_samples=101).meta
+    m = meta["substeps"]
+    assert m >= 2 and m & (m - 1) == 0       # a power of two
+    assert 0.0 <= meta["doubling_error"] <= _DOUBLING_TOL
+    assert "rtol" not in meta and "atol" not in meta
+
+
+def test_unresolvable_sweep_raises_instead_of_running_on():
+    # two samples over a crossing of 1e6 rad/s: no step count up to the cap settles
+    proto = SweepProtocol(delta0=1e6, rate_k=1.0, omega=1.0)
+    with pytest.raises(IntegrationFailure, match="did not settle"):
+        integrate_sweep(proto, n_samples=2)
 
 
 def test_norm_is_conserved_at_defaults():
