@@ -1,8 +1,9 @@
-"""Thin adaptive-integration layer shared by the dynamics modules.
+"""Thin integration layer shared by the dynamics modules.
 
-Wraps scipy's embedded Runge-Kutta pairs (RK45, DOP853), adding uniform
-sampling through the dense output and an optional observable callback so that
-large states (density matrices) never need to be stored per sample.
+solve_sampled wraps scipy's embedded Runge-Kutta pairs (RK45, DOP853), adding
+uniform sampling through the dense output and an optional observable callback
+so that large states (density matrices) never need to be stored per sample.
+propagate_sampled steps a constant linear generator exactly on a uniform grid.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import math
 
 import numpy as np
 from scipy.integrate import DOP853, RK45
+from scipy.linalg import expm
 
-__all__ = ["IntegrationFailure", "solve_sampled"]
+__all__ = ["IntegrationFailure", "propagate_sampled", "solve_sampled"]
 
 _METHODS = {"RK45": RK45, "DOP853": DOP853}
 
@@ -105,3 +107,29 @@ def solve_sampled(
         # observable callback returned tuples: split into one array per component
         return [np.asarray(comp) for comp in zip(*out)], y_end
     return np.asarray(out), y_end
+
+
+def propagate_sampled(generator: np.ndarray, x0: np.ndarray, t0: float,
+                      sample_times: np.ndarray) -> np.ndarray:
+    """x(t) for x' = generator @ x, x(t0) = x0, at uniformly spaced sample_times.
+
+    Exact up to roundoff, with no step control: expm(generator * gap) reaches
+    the first sample from t0, expm(generator * dt) is computed once, and each
+    further sample costs one matvec.  Returns an array (n_samples, *x0.shape).
+    """
+    samples = np.asarray(sample_times, dtype=float)
+    x = np.asarray(x0)
+    out = np.empty((samples.size, *x.shape), dtype=np.result_type(generator, x))
+    if not samples.size:
+        return out
+    if samples[0] < t0:
+        raise ValueError("sample_times must not precede t0")
+    x = out[0] = expm(generator * (samples[0] - t0)) @ x
+    if samples.size > 1:
+        dt = (samples[-1] - samples[0]) / (samples.size - 1)
+        if not np.allclose(np.diff(samples), dt, rtol=1e-6, atol=0.0):
+            raise ValueError("sample_times must be uniformly spaced")
+        step = expm(generator * dt)
+        for i in range(1, samples.size):
+            x = out[i] = step @ x
+    return out

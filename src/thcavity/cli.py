@@ -1,11 +1,12 @@
 """Config-driven batch runner.
 
 Each subcommand reads one YAML config, runs the matching experiment, and
-writes CSV/JSON artifacts plus a manifest into the output directory.  Configs
-are validated against a strict per-experiment schema: unknown keys are
-rejected and physical rates have no silent defaults (only tolerances and grid
-densities may be omitted).  Numeric CSV fields are formatted at 17 significant
-digits so a rerun of the same config is byte-identical.
+writes CSV/JSON artifacts plus a manifest (config, outputs, diagnostics) into
+the output directory.  Configs are validated against a strict per-experiment
+schema: unknown keys are rejected and physical rates have no silent defaults
+(only tolerances and grid densities may be omitted).  Numeric CSV fields are
+formatted at 17 significant digits so a rerun of the same config is
+byte-identical.
 
 The `unit` field declares how the numbers in the config are to be read (Hz or
 rad/s).  Dynamics experiments are scale-free and run verbatim in the declared
@@ -48,6 +49,7 @@ from .phase_diagram import grid_scan
 from .spectrum import spectrum_scan
 from .superradiance import (
     DickeSpace,
+    burst_diagnostics,
     lifetime_vs_kappa,
     peak_scaling_fit,
     post_pump_segment,
@@ -102,7 +104,7 @@ _MISSING = object()
 class _Field:
     def __init__(self, kind, *, required=True, default=_MISSING, choices=None,
                  item=None, children=None, min_len=0, positive=False,
-                 nonneg=False):
+                 nonneg=False, minimum=None):
         self.kind = kind
         self.required = required
         self.default = default
@@ -112,6 +114,7 @@ class _Field:
         self.min_len = min_len
         self.positive = positive
         self.nonneg = nonneg
+        self.minimum = minimum
 
 
 def _num(**kw):
@@ -194,6 +197,8 @@ def _apply(field, value, path):
         raise ConfigError(f"{path}: must be > 0, got {value}")
     if field.nonneg and not value >= 0:
         raise ConfigError(f"{path}: must be >= 0, got {value}")
+    if field.minimum is not None and not value >= field.minimum:
+        raise ConfigError(f"{path}: must be >= {field.minimum}, got {value}")
     return value
 
 
@@ -225,14 +230,15 @@ def _model_sec(required, optional=()):
     return _sec(children)
 
 
-def _tol_sec(rtol, atol, **extra_ints):
+def _tol_sec(rtol, atol, n_samples=None, min_samples=1):
     children = {"rtol": _num(required=False, default=rtol, positive=True),
                 "atol": _num(required=False, default=atol, positive=True)}
-    for name, default in extra_ints.items():
-        children[name] = _int(required=False, default=default, positive=True)
-    return _sec(children, required=False, default={
-        "rtol": rtol, "atol": atol,
-        **{name: default for name, default in extra_ints.items()}})
+    default = {"rtol": rtol, "atol": atol}
+    if n_samples is not None:
+        children["n_samples"] = _int(required=False, default=n_samples,
+                                     minimum=min_samples)
+        default["n_samples"] = n_samples
+    return _sec(children, required=False, default=default)
 
 
 _SCHEMAS = {
@@ -291,7 +297,8 @@ _SCHEMAS = {
             "sigma": _num(positive=True),
             "fraction": _num(positive=True),
         }),
-        "tolerances": _tol_sec(1e-7, 1e-9, n_samples=1200),
+        # a pulse width needs 4 samples; the burst's pump takes the first
+        "tolerances": _tol_sec(1e-7, 1e-9, n_samples=1200, min_samples=4),
     }),
     "lifetime": _root({
         "model": _model_sec(("g", "gamma_minus", "n_nuclei", "fwm_u")),
@@ -300,7 +307,7 @@ _SCHEMAS = {
             "sigma": _num(positive=True),
             "fraction": _num(positive=True),
         }),
-        "tolerances": _tol_sec(1e-7, 1e-9, n_samples=1600),
+        "tolerances": _tol_sec(1e-7, 1e-9, n_samples=1600, min_samples=4),
     }),
     "sweep": _root({
         "protocol": _sec({
@@ -351,7 +358,8 @@ def _build(ctor, path, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns the list of files it wrote
+# experiment runners; each returns the list of files it wrote and the
+# run's diagnostics for the manifest (deterministic: no wall times)
 
 def _run_coupling(cfg, out, prefix, map_fn):
     tr = _build(NuclearTransition, "transition",
@@ -382,7 +390,7 @@ def _run_coupling(cfg, out, prefix, map_fn):
             "cooperativity": rates.cooperativity,
             "tau_eff_estimate": rates.tau_eff_estimate,
         }
-    return [write_json(out / f"{prefix}.json", payload)]
+    return [write_json(out / f"{prefix}.json", payload)], {}
 
 
 def _run_spectrum(cfg, out, prefix, map_fn):
@@ -395,7 +403,7 @@ def _run_spectrum(cfg, out, prefix, map_fn):
              pt.photon_fraction_lp, pt.nuclear_fraction_lp) for pt in points]
     path = write_csv(out / f"{prefix}.csv",
                      ("delta", "e_upper", "e_lower", "c2_lp", "x2_lp"), rows)
-    return [path]
+    return [path], {}
 
 
 _MBE_TRACE_HEADER = ("t", "re_alpha", "im_alpha", "abs_alpha_sq", "re_P", "im_P", "Z")
@@ -431,7 +439,7 @@ def _run_rabi(cfg, out, prefix, map_fn):
             files.append(write_csv(out / f"{prefix}_trace_n{n}.csv",
                                    _MBE_TRACE_HEADER, _mbe_trace_rows(ts)))
             _log.info("[rabi] trace N=%d done", n)
-    return files
+    return files, {}
 
 
 def _run_lindblad11(cfg, out, prefix, map_fn):
@@ -480,7 +488,7 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
         dump = out / f"{prefix}_operators.txt"
         dump.write_text("\n".join(lines) + "\n", newline="\n")
         files.append(dump)
-    return files
+    return files, {}
 
 
 def _superradiance_run(n, p, sigma, fraction, n_samples, rtol, atol):
@@ -532,7 +540,7 @@ def _run_superradiance(cfg, out, prefix, map_fn):
         }))
     else:
         _log.info("[superradiance] too few N values for a peak-scaling fit")
-    return files
+    return files, {"runs": [burst_diagnostics(ts) for ts in runs]}
 
 
 def _run_lifetime(cfg, out, prefix, map_fn):
@@ -555,7 +563,7 @@ def _run_lifetime(cfg, out, prefix, map_fn):
         "r2": scan.r_squared,
         "points": [[k, tau] for k, tau in scan.points],
     }))
-    return files
+    return files, {"runs": list(scan.diagnostics)}
 
 
 def _run_sweep(cfg, out, prefix, map_fn):
@@ -577,7 +585,7 @@ def _run_sweep(cfg, out, prefix, map_fn):
             "r2": scan.r_squared,
             "points": [[k, g, tau] for k, g, tau in scan.points],
         }))
-        return files
+        return files, {"runs": list(scan.diagnostics)}
 
     if "rate_k" not in proto_cfg:
         raise ConfigError("missing required field: protocol.rate_k")
@@ -604,7 +612,8 @@ def _run_sweep(cfg, out, prefix, map_fn):
         "tau_jump": tau,
         "p_nuclear_final": float(p_nuclear[-1]),
     }))
-    return files
+    return files, {"substeps": ts.meta["substeps"],
+                   "doubling_error": ts.meta["doubling_error"]}
 
 
 def _run_phase_diagram(cfg, out, prefix, map_fn):
@@ -630,7 +639,7 @@ def _run_phase_diagram(cfg, out, prefix, map_fn):
         "cooperativity": [[s, k] for s, k in scan.boundary_cooperativity
                           if k is not None],
     }))
-    return files
+    return files, {}
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +707,7 @@ def run_config(config_path, *, out_dir=None, jobs=None, expected=None):
 
     start = time.perf_counter()
     with pool as map_fn:
-        files = _RUNNERS[name](cfg, out, prefix, map_fn)
+        files, diagnostics = _RUNNERS[name](cfg, out, prefix, map_fn)
     duration = time.perf_counter() - start
 
     manifest = {
@@ -708,6 +717,7 @@ def run_config(config_path, *, out_dir=None, jobs=None, expected=None):
         "duration_seconds": duration,
         "config": cfg,
         "outputs": sorted(Path(f).name for f in files),
+        "diagnostics": diagnostics,
     }
     write_json(out / "manifest.json", manifest)
     _log.info("[%s] wrote %d files to %s in %.2fs", name, len(files) + 1, out,

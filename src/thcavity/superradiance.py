@@ -7,9 +7,15 @@ reduce to the N+1 symmetric states |j, m>, j = N/2, with
     rho' = -i [D(t) (J+ + J-), rho] + gamma_eff D[J-] rho,
 
 where gamma_eff = gamma_minus + 4 g^2 / kappa_vuv and D(t) is the pump-fed
-drive 2 g U eta(t) / kappa_vuv.  The right-hand side uses the banded structure
-of J+- directly (no superoperator matrix), so a step costs O(dim^2) and
-N = 500 stays cheap.
+drive 2 g U eta(t) / kappa_vuv.  A run from the de-excited state uses two
+facts.  The pump tips it to excitation fraction f with binomial(N, f)
+populations, and decay only lowers them, so only the levels 0..K below a
+negligible binomial tail are ever occupied (ladder_cut; K = 127 at N = 500,
+f = 0.1): the pump runs on RK45 over the (K+1)^2 block, with the banded
+structure of J+- (no superoperator matrix).  After the pump, D[J-] maps each
+diagonal of rho to itself, and the observables need only the populations and
+the first off-diagonal: each evolves under a constant bidiagonal generator,
+stepped exactly on the sample grid (propagate_sampled).
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+from scipy.special import bdtrc
 
 from ._fit import fit_line, fit_loglog
-from ._integrate import solve_sampled
+from ._integrate import propagate_sampled, solve_sampled
 from .maxwell_bloch import DriveProfile, OFF
 from .params import ModelParams, TimeSeries
 
@@ -33,7 +40,10 @@ __all__ = [
     "build_effective_model",
     "pumped_effective_model",
     "calibrate_pump",
+    "pump_fraction",
+    "ladder_cut",
     "simulate_superradiance",
+    "burst_diagnostics",
     "post_pump_segment",
     "pulse_width_fwhm",
     "PeakFit",
@@ -43,6 +53,12 @@ __all__ = [
 ]
 
 SUPERRADIANCE_COLUMNS = ("intensity", "g1", "jz")
+
+# the ladder keeps the levels below a binomial tail of _TAIL_TOL plus a margin
+_TAIL_TOL = 1e-18
+_CUT_MARGIN = 10
+# a pumped cut ladder whose top level ends above this is rerun in full
+_TOP_POPULATION_TOL = 1e-14
 
 
 class PulseResolutionError(RuntimeError):
@@ -166,6 +182,63 @@ def pump_off_time(pump: DriveProfile) -> float:
     return pump.center + 4.0 * pump.width
 
 
+def pump_fraction(model: EffectiveModel) -> float:
+    """Largest excitation fraction the pump reaches: sin^2(theta / 2) for the
+    full-pulse area theta = 2 |drive_coupling * amplitude| sqrt(2 pi) width,
+    and 1 once theta passes pi (the Bloch vector then crosses the pole)."""
+    pump = model.pump
+    if pump.kind != "gaussian":
+        return 0.0
+    theta = 2.0 * abs(model.drive_coupling * pump.amplitude) * math.sqrt(2.0 * math.pi) * pump.width
+    return math.sin(0.5 * min(theta, math.pi)) ** 2
+
+
+def ladder_cut(n_nuclei: int, fraction: float) -> int:
+    """Highest Dicke level k a run tipped to at most `fraction` keeps.
+
+    A resonant pump turns |0> into a coherent state whose populations are
+    binomial(N, f) (Arecchi et al. 1972), and decay only lowers them, so levels
+    above the smallest K with P(X > K) < 1e-18, plus a margin of 10, stay
+    empty to roundoff.  Capped at N.
+    """
+    tails = bdtrc(np.arange(n_nuclei + 1), n_nuclei, fraction)   # P(X > k); 0 at k = N
+    return min(int(np.argmax(tails < _TAIL_TOL)) + _CUT_MARGIN, n_nuclei)
+
+
+def _pumped_rhs(model: EffectiveModel, cdn: np.ndarray):
+    """rho' = -i D(t) [J+ + J-, rho] + gamma_eff D[J-] rho on the levels
+    0..K, K = len(cdn) - 1, with J+- cut to those levels."""
+    dim = cdn.size
+    cdn1 = cdn[1:]
+    gamma = model.gamma_eff
+    g2 = cdn**2
+    w_anti = 0.5 * gamma * (g2[:, None] + g2[None, :])
+
+    def rhs_pumped(t, y):
+        rho = y.reshape(dim, dim)
+        d = model.drive_coupling * model.pump.envelope(t)
+        b = np.zeros_like(rho)
+        b[1:, :] = cdn1[:, None] * rho[:-1, :]
+        b[:-1, :] += cdn1[:, None] * rho[1:, :]
+        s = np.zeros_like(rho)
+        s[:-1, :-1] = cdn1[:, None] * rho[1:, 1:] * cdn1[None, :]
+        s = 0.5 * (s + s.conj().T)  # exact Hermiticity at the bit level
+        drho = (-1j * d) * (b - b.conj().T) + gamma * s - w_anti * rho
+        return drho.ravel()
+
+    return rhs_pumped
+
+
+def _decay_generators(cdn: np.ndarray, gamma: float):
+    """Constant generators of the populations rho[k, k] and the coherences
+    rho[k+1, k] under gamma D[J-]: both upper bidiagonal, since decay maps
+    each diagonal of rho to itself (Gross & Haroche 1982)."""
+    g2 = cdn**2
+    a_pop = gamma * (np.diag(g2[1:], 1) - np.diag(g2))
+    a_coh = gamma * (np.diag(cdn[1:-1] * cdn[2:], 1) - np.diag(0.5 * (g2[1:] + g2[:-1])))
+    return a_pop, a_coh
+
+
 def simulate_superradiance(
     model: EffectiveModel,
     space: DickeSpace,
@@ -178,12 +251,16 @@ def simulate_superradiance(
     """Evolve from the fully de-excited state; record intensity, g1, <Jz>.
 
     intensity I(t) = gamma_eff <J+ J->, g1(t) = |<J->| / sqrt(<J+ J->)
-    (coherence fraction, set to 0 where <J+J-> <= 1e-12).  The pump is
-    truncated at pump_off_time (relative envelope e^-8), after which the pure
-    dissipative half runs without the drive commutator.  Density matrices are
-    never stored: observables are streamed sample by sample.
+    (coherence fraction, set to 0 where <J+J-> <= 1e-12).  The pump runs on
+    RK45 (rtol, atol) over the levels 0..K of ladder_cut, and is truncated at
+    pump_off_time (relative envelope e^-8).  If level K then holds more than
+    1e-14 the pump is rerun on the full ladder.  The free decay steps the
+    populations and the first off-diagonal of rho exactly on the sample grid,
+    which needs n_samples >= 2.  meta records ladder_cut and top_population
+    (level K's population at the end of the pump).
     """
-    dim = space.dim
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     n = space.n_nuclei
     gamma = model.gamma_eff
     t_off = pump_off_time(model.pump)
@@ -191,77 +268,72 @@ def simulate_superradiance(
         tail = 12.0 / (n * gamma) if gamma > 0 else 1.0
         t_span = (0.0, t_off + tail)
 
-    cdn = space.lowering_amplitudes()
-    cdn1 = cdn[1:]
-    g2 = cdn**2
-    m = space.m_values()
-    w_anti = 0.5 * gamma * (g2[:, None] + g2[None, :])
-
-    def dissipator(rho):
-        s = np.zeros_like(rho)
-        s[:-1, :-1] = cdn1[:, None] * rho[1:, 1:] * cdn1[None, :]
-        s = 0.5 * (s + s.conj().T)  # exact Hermiticity at the bit level
-        return gamma * s - w_anti * rho
-
-    def rhs_pumped(t, y):
-        rho = y.reshape(dim, dim)
-        d = model.drive_coupling * model.pump.envelope(t)
-        b = np.zeros_like(rho)
-        b[1:, :] = cdn1[:, None] * rho[:-1, :]
-        b[:-1, :] += cdn1[:, None] * rho[1:, :]
-        drho = (-1j * d) * (b - b.conj().T) + dissipator(rho)
-        return drho.ravel()
-
-    def rhs_free(t, y):
-        rho = y.reshape(dim, dim)
-        return dissipator(rho).ravel()
-
-    def observe(t, y):
-        rho = y.reshape(dim, dim)
-        pops = rho.diagonal().real
-        jpjm = float(g2 @ pops)
-        jm = complex(cdn1 @ np.diagonal(rho, -1))
-        g1 = abs(jm) / math.sqrt(jpjm) if jpjm > 1e-12 else 0.0
-        return gamma * jpjm, g1, float(m @ pops)
-
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-
     t0, t1 = t_span
     samples = np.linspace(t0, t1, int(n_samples))
     pumping = model.pump.kind == "gaussian" and model.pump.amplitude != 0 and t_off > t0
+    t_free = min(t_off, t1) if pumping else t0   # where the exact decay starts
+    cdn = space.lowering_amplitudes()
+    k_cut = ladder_cut(n, pump_fraction(model) if pumping else 0.0)
 
-    if pumping and t_off < t1:
-        # the free decay starts from the pumped solve's state at t_off
-        obs_head, rho_off = solve_sampled(rhs_pumped, (t0, t_off), rho0.ravel(),
-                                          samples[samples <= t_off], observe=observe,
-                                          method="RK45", rtol=rtol, atol=atol,
-                                          max_step=model.pump.width / 2.0)
-        obs_tail, _ = solve_sampled(rhs_free, (t_off, t1), rho_off, samples[samples > t_off],
-                                    observe=observe, method="RK45", rtol=rtol, atol=atol)
-        parts = [np.concatenate([a, b]) for a, b in zip(obs_head, obs_tail)]
-    else:
-        rhs = rhs_pumped if pumping else rhs_free
-        parts, _ = solve_sampled(rhs, t_span, rho0.ravel(), samples,
-                                 observe=observe, method="RK45", rtol=rtol, atol=atol,
-                                 max_step=model.pump.width / 2.0 if pumping else np.inf)
+    def pump(k):
+        # (populations, coherences) at the samples up to t_free, rho at t_free
+        rho0 = np.zeros((k + 1, k + 1), dtype=complex)
+        rho0[0, 0] = 1.0
+        if not pumping:
+            return [np.empty((0, k + 1)), np.empty((0, k), dtype=complex)], rho0
 
-    values = np.column_stack(parts)
+        def diagonals(t, y):
+            rho = y.reshape(k + 1, k + 1)
+            return rho.diagonal().real.copy(), rho.diagonal(-1).copy()
+
+        head, y_end = solve_sampled(_pumped_rhs(model, cdn[:k + 1]), (t0, t_free),
+                                    rho0.ravel(), samples[samples <= t_free],
+                                    observe=diagonals, method="RK45", rtol=rtol,
+                                    atol=atol, max_step=model.pump.width / 2.0)
+        return head, y_end.reshape(k + 1, k + 1)
+
+    head, rho_free = pump(k_cut)
+    if rho_free[k_cut, k_cut].real > _TOP_POPULATION_TOL and k_cut < n:
+        k_cut = n
+        head, rho_free = pump(k_cut)
+    top = float(rho_free[k_cut, k_cut].real)
+
+    cdn = cdn[:k_cut + 1]
+    a_pop, a_coh = _decay_generators(cdn, gamma)
+    tail = samples[samples > t_free] if pumping else samples
+    pops = np.concatenate([head[0], propagate_sampled(a_pop, rho_free.diagonal().real,
+                                                      t_free, tail)])
+    cohs = np.concatenate([head[1], propagate_sampled(a_coh, rho_free.diagonal(-1),
+                                                      t_free, tail)])
+
+    jpjm = pops @ cdn**2
+    jm = np.abs(cohs @ cdn[1:])
+    g1 = np.where(jpjm > 1e-12, jm / np.sqrt(np.maximum(jpjm, 1e-12)), 0.0)
+    values = np.column_stack([gamma * jpjm, g1, pops @ space.m_values()[:k_cut + 1]])
     return TimeSeries(
         times=samples,
         values=values,
         columns=SUPERRADIANCE_COLUMNS,
         meta={"n_nuclei": n, "gamma_eff": gamma, "t_off": t_off,
-              "model": model, "rtol": rtol, "atol": atol},
+              "model": model, "rtol": rtol, "atol": atol,
+              "ladder_cut": k_cut, "top_population": top},
     )
+
+
+def burst_diagnostics(ts: TimeSeries) -> dict:
+    """Ladder truncation and bad-cavity health of a simulate_superradiance run."""
+    return {"n_nuclei": ts.meta["n_nuclei"], "ladder_cut": ts.meta["ladder_cut"],
+            "top_population": ts.meta["top_population"],
+            "bad_cavity_ratio": ts.meta["model"].bad_cavity_ratio}
 
 
 def post_pump_segment(ts: TimeSeries):
     """(times, intensity) restricted to t >= the run's pump switch-off."""
     t_off = ts.meta.get("t_off", 0.0)
     mask = ts.times >= t_off
-    if not mask.any():
-        raise PulseResolutionError("no samples after the pump switch-off")
+    if mask.sum() < 4:
+        raise PulseResolutionError(f"{mask.sum()} samples after the pump switch-off, "
+                                   "need 4; increase n_samples")
     return ts.times[mask], ts.column("intensity")[mask]
 
 
@@ -354,6 +426,7 @@ class LifetimeScan:
     slope: float
     intercept: float
     r_squared: float
+    diagnostics: tuple  # burst_diagnostics per point, with kappa_vuv
 
 
 def _lifetime_scan_point(kappa, p, pump_sigma, fraction, n_samples, rtol, atol):
@@ -362,7 +435,8 @@ def _lifetime_scan_point(kappa, p, pump_sigma, fraction, n_samples, rtol, atol):
     ts = simulate_superradiance(model, DickeSpace(p.n_nuclei), n_samples=n_samples,
                                 rtol=rtol, atol=atol)
     seg_t, seg_i = post_pump_segment(ts)
-    return (kappa, pulse_width_fwhm(seg_t, seg_i))
+    return (kappa, pulse_width_fwhm(seg_t, seg_i)), {"kappa_vuv": kappa,
+                                                     **burst_diagnostics(ts)}
 
 
 def lifetime_vs_kappa(
@@ -389,8 +463,8 @@ def lifetime_vs_kappa(
 
     work = partial(_lifetime_scan_point, p=p, pump_sigma=pump_sigma,
                    fraction=fraction, n_samples=n_samples, rtol=rtol, atol=atol)
-    points = list(map_fn(work, kappas))
+    points, diagnostics = zip(*map_fn(work, kappas))
 
     fit = fit_line([k for k, _ in points], [tau for _, tau in points])
-    return LifetimeScan(points=tuple(points), slope=fit.slope,
-                        intercept=fit.intercept, r_squared=fit.r_squared)
+    return LifetimeScan(points=points, slope=fit.slope, intercept=fit.intercept,
+                        r_squared=fit.r_squared, diagnostics=diagnostics)

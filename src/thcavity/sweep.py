@@ -282,6 +282,7 @@ class SweepScanResult:
     points: tuple  # (k, gamma_lz, tau_jump) triples
     slope: float
     r_squared: float
+    diagnostics: tuple  # per point: k, substeps, doubling_error
 
 
 def _jump_scan_point(k, omega, delta0, samples_per_period, min_samples):
@@ -291,7 +292,8 @@ def _jump_scan_point(k, omega, delta0, samples_per_period, min_samples):
             int(samples_per_period * abs(delta0) * (t1 - t0) / (2.0 * math.pi)))
     ts = integrate_sweep(proto, n_samples=n)
     p_up, _ = polariton_populations(ts)
-    return (k, proto.lz_parameter, jump_time(ts.times, p_up))
+    return (k, proto.lz_parameter, jump_time(ts.times, p_up)), {
+        "k": k, "substeps": ts.meta["substeps"], "doubling_error": ts.meta["doubling_error"]}
 
 
 def jump_time_scan(
@@ -315,8 +317,8 @@ def jump_time_scan(
     work = partial(_jump_scan_point, omega=omega, delta0=delta0,
                    samples_per_period=samples_per_period,
                    min_samples=min_samples)
-    points = list(map_fn(work, ks))
+    points, diagnostics = zip(*map_fn(work, ks))
 
     fit = fit_loglog([k for k, _, _ in points], [tau for _, _, tau in points])
-    return SweepScanResult(points=tuple(points), slope=fit.slope,
-                           r_squared=fit.r_squared)
+    return SweepScanResult(points=points, slope=fit.slope, r_squared=fit.r_squared,
+                           diagnostics=diagnostics)

@@ -413,6 +413,47 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, name, keys, value
     assert f"{_dotted(keys)}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["superradiance", "lifetime"])
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_too_few_burst_samples_is_a_config_error(tmp_path, capsys, name, n_samples):
+    text = MINIMAL_CONFIGS[name].replace("n_samples: 200", f"n_samples: {n_samples}")
+    cfg = write(tmp_path, text)
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "tolerances.n_samples:" in capsys.readouterr().err
+
+
+def _diagnostics(tmp_path, text):
+    cfg = yaml.safe_load(text)
+    out = tmp_path / cfg["experiment"]
+    first = run_config(write(tmp_path, text), out_dir=out, jobs=1)["diagnostics"]
+    again = run_config(write(tmp_path, text), out_dir=out, jobs=1)["diagnostics"]
+    assert json.loads((out / "manifest.json").read_text())["diagnostics"] == first == again
+    return first
+
+
+def test_manifest_carries_the_run_diagnostics(tmp_path):
+    runs = _diagnostics(tmp_path, SUPERRADIANCE_YAML)["runs"]
+    assert [r["n_nuclei"] for r in runs] == [4, 6]
+    for r in runs:
+        assert r["ladder_cut"] == r["n_nuclei"]
+        assert 0.0 <= r["top_population"] < 1e-3
+        assert r["bad_cavity_ratio"] == pytest.approx(2.0e5 / (106.8 * math.sqrt(r["n_nuclei"])))
+
+    runs = _diagnostics(tmp_path, LIFETIME_YAML)["runs"]
+    assert [r["kappa_vuv"] for r in runs] == [1.0e5, 2.0e5, 4.0e5]
+    assert {r["ladder_cut"] for r in runs} == {6}
+
+    single = _diagnostics(tmp_path, SWEEP_YAML)
+    assert set(single) == {"substeps", "doubling_error"}
+    assert single["substeps"] >= 1 and 0.0 <= single["doubling_error"] < 1e-9
+
+    runs = _diagnostics(tmp_path, SWEEP_SCAN_YAML)["runs"]
+    assert [r["k"] for r in runs] == sorted(yaml.safe_load(SWEEP_SCAN_YAML)["scan"]["rate_k"])
+    assert all(r["doubling_error"] < 1e-9 for r in runs)
+
+    assert _diagnostics(tmp_path, SPECTRUM_YAML) == {}
+
+
 def test_bool_is_not_a_number(tmp_path, capsys):
     cfg = write(tmp_path, SPECTRUM_YAML.replace("n_points: 21", "n_points: true"))
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,11 +1,12 @@
-"""The shared adaptive-integration layer: end state and non-finite guards."""
+"""The shared integration layer: end state and non-finite guards of the adaptive
+solver, and the exact stepper for constant generators."""
 
 import math
 
 import numpy as np
 import pytest
 
-from thcavity._integrate import IntegrationFailure, solve_sampled
+from thcavity._integrate import IntegrationFailure, propagate_sampled, solve_sampled
 
 
 def oscillator(t, y):
@@ -49,3 +50,39 @@ def test_nan_derivative_mid_run_raises(method):
                       method=method)
     assert 0.0 < err.value.t <= 0.5
 
+
+
+def test_propagate_sampled_is_the_closed_form():
+    # damped rotation: x(t) = exp(-a t) R(w t) x0, first sample off the grid start
+    a, w = 0.4, 3.0
+    gen = np.array([[-a, -w], [w, -a]])
+    x0 = np.array([1.0, 0.5])
+    t0 = 0.3
+    samples = np.linspace(0.35, 6.0, 500)
+    xs = propagate_sampled(gen, x0, t0, samples)
+    tau = samples - t0
+    c, s = np.cos(w * tau), np.sin(w * tau)
+    expect = np.exp(-a * tau)[:, None] * np.column_stack([c * x0[0] - s * x0[1],
+                                                          s * x0[0] + c * x0[1]])
+    np.testing.assert_allclose(xs, expect, rtol=0, atol=1e-13)
+
+
+def test_propagate_sampled_keeps_a_complex_state_and_matches_solve_sampled():
+    rng = np.random.default_rng(3)
+    gen = np.triu(rng.normal(size=(6, 6)))
+    x0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    samples = np.linspace(0.0, 2.0, 41)
+    xs = propagate_sampled(gen, x0, 0.0, samples)
+    assert xs.dtype == complex and xs.shape == (41, 6)
+    ref, _ = solve_sampled(lambda t, y: gen @ y, (0.0, 2.0), x0, samples,
+                           rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(xs, ref, rtol=1e-9, atol=1e-12)
+
+
+def test_propagate_sampled_needs_a_uniform_grid_after_t0():
+    gen = -np.eye(2)
+    assert propagate_sampled(gen, np.ones(2), 0.0, np.array([])).shape == (0, 2)
+    with pytest.raises(ValueError, match="uniformly"):
+        propagate_sampled(gen, np.ones(2), 0.0, np.array([0.0, 1.0, 3.0]))
+    with pytest.raises(ValueError, match="precede"):
+        propagate_sampled(gen, np.ones(2), 1.0, np.array([0.5, 1.5]))

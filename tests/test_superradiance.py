@@ -1,9 +1,12 @@
 """Dicke-ladder collective emission engine and its pump calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thcavity import superradiance
 from thcavity._integrate import solve_sampled
@@ -14,12 +17,16 @@ from thcavity.superradiance import (
     DickeSpace,
     EffectiveModel,
     PulseResolutionError,
+    _decay_generators,
+    _pumped_rhs,
     build_effective_model,
     calibrate_pump,
+    ladder_cut,
     lifetime_vs_kappa,
     peak_scaling_fit,
     post_pump_segment,
     pulse_width_fwhm,
+    pump_fraction,
     pump_off_time,
     pumped_effective_model,
     simulate_superradiance,
@@ -96,25 +103,177 @@ def test_single_nucleus_agrees_with_dense_master_equation():
                                gamma * ref.values[:, 1, 1].real, atol=1e-7)
 
 
-# at N = 12 the RK45 step's own end state differs from the dense value in the
-# last bits, so only the dense value at t_off passes there
-@pytest.mark.parametrize("n", [1, 4, 12, 16])
-def test_burst_matches_the_two_pass_path(spy_solves, n):
-    """One pumped and one free solve, bit for bit equal to the former path
-    that integrated the pump a second time only to get the switch-off state."""
-    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
-    calls = spy_solves(superradiance)
-    ts = simulate_superradiance(model, DickeSpace(n), n_samples=300)
+def full_ladder_burst(model, space, n_samples, *, method="DOP853", rtol=1e-10,
+                      atol=1e-16):
+    """Oracle: the pump and the free decay both integrated on the full (N+1)^2
+    density matrix with the banded right-hand sides, as the burst was solved
+    before the ladder cut and the exact decay; columns as simulate_superradiance."""
+    dim, gamma = space.dim, model.gamma_eff
+    cdn = space.lowering_amplitudes()
+    cdn1, g2, m = cdn[1:], cdn**2, space.m_values()
+    w_anti = 0.5 * gamma * (g2[:, None] + g2[None, :])
 
-    assert len(calls) == 2
-    (rhs_p, span_p, rho0, head, kw_p), (rhs_f, span_f, _, tail, kw_f) = calls
-    assert span_p[1] == span_f[0] == pump_off_time(model.pump)
-    state_kw = {k: v for k, v in kw_p.items() if k != "observe"}
-    states, _ = solve_sampled(rhs_p, span_p, rho0, np.array([span_p[1]]), **state_kw)
-    obs_head, _ = solve_sampled(rhs_p, span_p, rho0, head, **kw_p)
-    obs_tail, _ = solve_sampled(rhs_f, span_f, states[-1], tail, **kw_f)
-    two_pass = np.column_stack([np.concatenate(ab) for ab in zip(obs_head, obs_tail)])
-    assert np.array_equal(ts.values, two_pass)
+    def dissipator(rho):
+        s = np.zeros_like(rho)
+        s[:-1, :-1] = cdn1[:, None] * rho[1:, 1:] * cdn1[None, :]
+        return gamma * s - w_anti * rho
+
+    def rhs_pumped(t, y):
+        rho = y.reshape(dim, dim)
+        b = np.zeros_like(rho)
+        b[1:, :] = cdn1[:, None] * rho[:-1, :]
+        b[:-1, :] += cdn1[:, None] * rho[1:, :]
+        d = model.drive_coupling * model.pump.envelope(t)
+        return ((-1j * d) * (b - b.conj().T) + dissipator(rho)).ravel()
+
+    def rhs_free(t, y):
+        return dissipator(y.reshape(dim, dim)).ravel()
+
+    def observe(t, y):
+        rho = y.reshape(dim, dim)
+        pops = rho.diagonal().real
+        jpjm = g2 @ pops
+        g1 = abs(cdn1 @ rho.diagonal(-1)) / math.sqrt(jpjm) if jpjm > 1e-12 else 0.0
+        return gamma * jpjm, g1, m @ pops
+
+    t_off = pump_off_time(model.pump)
+    samples = np.linspace(0.0, t_off + 12.0 / (space.n_nuclei * gamma), n_samples)
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    kw = dict(observe=observe, method=method, rtol=rtol, atol=atol)
+    head, rho_off = solve_sampled(rhs_pumped, (0.0, t_off), rho0.ravel(),
+                                  samples[samples <= t_off],
+                                  max_step=model.pump.width / 2.0, **kw)
+    tail, _ = solve_sampled(rhs_free, (t_off, samples[-1]), rho_off,
+                            samples[samples > t_off], **kw)
+    return np.column_stack([np.concatenate(ab) for ab in zip(head, tail)])
+
+
+def assert_matches_oracle(values, ref):
+    """Intensity and <Jz> to 1e-9 of their column maxima, g1 to 1e-9."""
+    for col, scale in ((0, np.abs(ref[:, 0]).max()), (1, 1.0),
+                       (2, np.abs(ref[:, 2]).max())):
+        np.testing.assert_allclose(values[:, col], ref[:, col], rtol=0, atol=1e-9 * scale)
+
+
+# N = 40 is the smallest size here whose ladder is cut (K = 37)
+@pytest.mark.parametrize("n", [1, 4, 12, 16, 40])
+def test_burst_matches_the_full_ladder_oracle(n):
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    ts = simulate_superradiance(model, DickeSpace(n), n_samples=300,
+                                rtol=1e-10, atol=1e-12)
+    k = ladder_cut(n, 0.1)
+    assert ts.meta["ladder_cut"] == k == (37 if n == 40 else n)
+    assert k == n or ts.meta["top_population"] < 1e-14
+    assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300))
+
+
+@pytest.mark.parametrize("n, fraction, k", [
+    (100, 0.1, 54), (120, 0.1, 58), (300, 0.1, 94), (500, 0.1, 127),
+    (16, 0.1, 16), (50, 0.0, 10), (7, 0.0, 7), (50, 0.99, 50), (50, 1.0, 50)])
+def test_ladder_cut(n, fraction, k):
+    assert ladder_cut(n, fraction) == k
+
+
+def test_pump_fraction_is_the_peak_excitation():
+    model = pumped_effective_model(bad_cavity_params(10), sigma=1e-4, fraction=0.1)
+    assert pump_fraction(model) == pytest.approx(0.1, rel=1e-12)
+    # an area past pi tips the Bloch vector over the pole on the way
+    assert pump_fraction(replace(model, drive_coupling=5.0 * model.drive_coupling)) == 1.0
+    assert pump_fraction(replace(model, pump=OFF)) == 0.0
+
+
+def test_single_nucleus_free_decay_is_exponential():
+    model = pumped_effective_model(bad_cavity_params(1), sigma=1e-4, fraction=0.3)
+    ts = simulate_superradiance(model, DickeSpace(1), n_samples=400)
+    gamma = model.gamma_eff
+    t, intensity = post_pump_segment(ts)
+    free = ts.times >= t[0]
+    np.testing.assert_allclose(intensity, intensity[0] * np.exp(-gamma * (t - t[0])),
+                               rtol=1e-12, atol=0)
+    # |rho_10| and sqrt(rho_11) both decay as exp(-gamma t / 2)
+    np.testing.assert_allclose(ts.column("g1")[free], ts.column("g1")[free][0], rtol=1e-12)
+    np.testing.assert_allclose(ts.column("jz")[free], intensity / gamma - 0.5, atol=1e-15)
+
+
+def test_near_full_pump_keeps_the_whole_ladder():
+    n = 20
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.99)
+    ts = simulate_superradiance(model, DickeSpace(n), n_samples=300,
+                                rtol=1e-10, atol=1e-12)
+    assert ts.meta["ladder_cut"] == n
+    assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300))
+
+
+def test_guard_trip_reruns_the_pump_on_the_full_ladder(monkeypatch, spy_solves):
+    n = 40
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    monkeypatch.setattr(superradiance, "_TOP_POPULATION_TOL", -1.0)
+    calls = spy_solves(superradiance)
+    ts = simulate_superradiance(model, DickeSpace(n), n_samples=300,
+                                rtol=1e-10, atol=1e-12)
+    assert [y0.size for _, _, y0, _, _ in calls] == [38**2, 41**2]
+    assert ts.meta["ladder_cut"] == n
+    assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300))
+
+
+def test_far_tail_coherence_is_closer_to_the_reference_than_the_full_ladder_rk45():
+    """Where I < 1e-3 of the peak, g1 is a ratio of two small numbers; RK45 at
+    the default tolerances on the full ladder misses it by ~5e-5, the exact
+    decay by the pump's error only."""
+    n = 40
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    ref = full_ladder_burst(model, DickeSpace(n), 300)
+    rk45 = full_ladder_burst(model, DickeSpace(n), 300, method="RK45", rtol=1e-7,
+                             atol=1e-9)
+    new = simulate_superradiance(model, DickeSpace(n), n_samples=300).values
+    far = ref[:, 0] < 1e-3 * ref[:, 0].max()
+    assert far.sum() > 50
+    err_rk45 = np.abs(rk45[far, 1] - ref[far, 1]).max()
+    err_new = np.abs(new[far, 1] - ref[far, 1]).max()
+    assert err_rk45 > 1e-5
+    assert err_new < err_rk45 / 100
+
+
+def test_too_few_samples_is_an_error():
+    model = pumped_effective_model(bad_cavity_params(4), sigma=1e-4, fraction=0.1)
+    with pytest.raises(ValueError, match="n_samples"):
+        simulate_superradiance(model, DickeSpace(4), n_samples=1)
+    assert len(simulate_superradiance(model, DickeSpace(4), n_samples=2).times) == 2
+
+
+def _random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+@given(n=st.integers(1, 40), data=st.data(), t=st.floats(0.0, 1e-3),
+       seed=st.integers(0, 2**32 - 1))
+def test_pumped_rhs_is_traceless_and_hermitian(n, data, t, seed):
+    k = data.draw(st.sampled_from(sorted({n, data.draw(st.integers(1, n))})))
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    rho = _random_hermitian(np.random.default_rng(seed), k + 1)
+    cdn = DickeSpace(n).lowering_amplitudes()[:k + 1]
+    drho = _pumped_rhs(model, cdn)(t, rho.ravel()).reshape(k + 1, k + 1)
+    scale = np.abs(drho).max()
+    assert abs(np.trace(drho)) <= 1e-12 * scale
+    np.testing.assert_array_equal(drho, drho.conj().T)
+
+
+@given(n=st.integers(1, 60), data=st.data(), gamma=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_decay_generators_are_the_free_rhs_on_two_diagonals(n, data, gamma, seed):
+    k = data.draw(st.integers(1, n))
+    cdn = DickeSpace(n).lowering_amplitudes()[:k + 1]
+    a_pop, a_coh = _decay_generators(cdn, gamma)
+    # the populations' generator conserves the trace: its columns sum to 0
+    np.testing.assert_allclose(a_pop.sum(axis=0), 0.0, atol=1e-14 * np.abs(a_pop).max())
+    model = EffectiveModel(drive_coupling=1.0, gamma_eff=gamma, pump=OFF)
+    rho = _random_hermitian(np.random.default_rng(seed), k + 1)
+    drho = _pumped_rhs(model, cdn)(0.0, rho.ravel()).reshape(k + 1, k + 1)
+    tol = 1e-13 * np.abs(drho).max()
+    np.testing.assert_allclose(a_pop @ rho.diagonal().real, drho.diagonal().real, atol=tol)
+    np.testing.assert_allclose(a_coh @ rho.diagonal(-1), drho.diagonal(-1), atol=tol)
 
 
 @pytest.mark.parametrize("n", [4, 40])
@@ -221,6 +380,10 @@ def test_post_pump_segment_needs_tail_samples():
     ts = TimeSeries(times=np.linspace(0, 1, 10), values=np.zeros((10, 3)),
                     columns=("intensity", "g1", "jz"), meta={"t_off": 5.0})
     with pytest.raises(PulseResolutionError):
+        post_pump_segment(ts)
+    # three samples after the switch-off resolve no pulse width either
+    ts.meta["t_off"] = 0.75
+    with pytest.raises(PulseResolutionError, match="3 samples"):
         post_pump_segment(ts)
 
 
