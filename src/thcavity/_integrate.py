@@ -20,10 +20,9 @@ _METHODS = {"RK45": RK45, "DOP853": DOP853}
 
 
 class IntegrationFailure(RuntimeError):
-    """Adaptive stepper gave up (step size underflow or solver error).
-
-    Carries the time reached; the usual fix is a smaller t_span or looser
-    tolerances, not a different method.
+    """An integration gave up or left the finite numbers: the adaptive stepper
+    on step size underflow, a solver error or a non-finite state, and the exact
+    propagate_sampled on a non-finite state.  Carries the time reached.
     """
 
     def __init__(self, message: str, t: float | None = None):
@@ -115,7 +114,8 @@ def propagate_sampled(generator: np.ndarray, x0: np.ndarray, t0: float,
 
     Exact up to roundoff, with no step control: expm(generator * gap) reaches
     the first sample from t0, expm(generator * dt) is computed once, and each
-    further sample costs one matvec.  Returns an array (n_samples, *x0.shape).
+    further sample costs one matvec.  Returns an array (n_samples, *x0.shape);
+    a non-finite sample raises IntegrationFailure.
     """
     samples = np.asarray(sample_times, dtype=float)
     x = np.asarray(x0)
@@ -132,4 +132,8 @@ def propagate_sampled(generator: np.ndarray, x0: np.ndarray, t0: float,
         step = expm(generator * dt)
         for i in range(1, samples.size):
             x = out[i] = step @ x
+    finite = np.isfinite(out.reshape(samples.size, -1)).all(axis=1)
+    if not finite.all():
+        t = float(samples[np.argmin(finite)])
+        raise IntegrationFailure(f"non-finite state at t={t:.6g}", t=t)
     return out

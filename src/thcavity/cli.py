@@ -39,7 +39,9 @@ from .lindblad import (
     basis_index,
     build_hamiltonian_operators,
     integrate_master,
+    mode_operators,
     population_series,
+    project_to_basis,
     standard_collapse_ops,
 )
 from .maxwell_bloch import rabi_scaling_fit
@@ -452,23 +454,20 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
     idx = _build(basis_index, "initial_state", state)
     rho0 = DensityMatrix.pure(DIM, idx)
 
+    collective = opts["collective_coupling"]
+    # H(t) = h0 + pump_envelope(t) * (a1 + a1^dag), h0 with the pump off
+    hamiltonian = h0 = build_hamiltonian_operators(replace(p, pump_amp=0.0),
+                                                   collective_coupling=collective)
     if p.pump_amp != 0.0:
-        def hamiltonian(t):
-            return build_hamiltonian_operators(
-                p, t, collective_coupling=opts["collective_coupling"])
-        max_step = p.pump_width / 2.0
-    else:
-        hamiltonian = build_hamiltonian_operators(
-            p, 0.0, collective_coupling=opts["collective_coupling"])
-        max_step = np.inf
+        a1 = mode_operators()["a1"]
+        hamiltonian = (h0, project_to_basis(a1 + a1.T), p.pump_envelope)
 
-    collapse = standard_collapse_ops(
-        p, collective_coupling=opts["collective_coupling"])
+    collapse = standard_collapse_ops(p, collective_coupling=collective)
     ts = integrate_master(hamiltonian, rho0, collapse,
                           (0.0, cfg["time"]["t_end"]),
                           n_samples=cfg["time"]["n_samples"],
                           rtol=tol["rtol"], atol=tol["atol"],
-                          max_step=max_step, check=opts["check"])
+                          max_step=p.pump_width / 2.0, check=opts["check"])
 
     labels = ["p_" + "".join(str(v) for v in s) for s in BASIS]
     pops = [population_series(ts, i) for i in range(DIM)]
@@ -477,10 +476,10 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
     files = [write_csv(out / f"{prefix}.csv", ("t", *labels, "purity"), rows)]
 
     if cfg["dump_operators"]:
-        h0 = hamiltonian(0.0) if callable(hamiltonian) else hamiltonian
+        h_start = build_hamiltonian_operators(p, 0.0, collective_coupling=collective)
         lines = ["# basis states (n1, n2, n_vuv, n_nuc):"]
         lines += [f"#   {i}: {tuple(s)}" for i, s in enumerate(BASIS)]
-        for name, op in [("hamiltonian(t=0)", h0)] + [
+        for name, op in [("hamiltonian(t=0)", h_start)] + [
                 (f"collapse_{i}", c) for i, c in enumerate(collapse)]:
             lines.append(f"# {name}, real part then imaginary part")
             for block in (op.real, op.imag):
@@ -488,7 +487,7 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
         dump = out / f"{prefix}_operators.txt"
         dump.write_text("\n".join(lines) + "\n", newline="\n")
         files.append(dump)
-    return files, {}
+    return files, {key: ts.meta[key] for key in ("trace_drift", "min_eigenvalue")}
 
 
 def _superradiance_run(n, p, sigma, fraction, n_samples, rtol, atol):

@@ -1,5 +1,5 @@
 """Truncated 11-state model of two-color four-wave mixing into a nuclear line,
-plus a generic dense Lindblad master-equation integrator.
+plus its Lindblad master equation, written once as a superoperator.
 
 States are labeled (n1, n2, n_vuv, n_nuc): pump-cavity photons in modes 1 and 2,
 VUV cavity photons, and the nuclear excitation.  The 11-state set is the FWM
@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._integrate import solve_sampled
+from ._integrate import propagate_sampled, solve_sampled
 from .params import ModelParams, TimeSeries
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "mode_operators",
     "project_to_basis",
     "standard_collapse_ops",
+    "liouvillian",
     "integrate_master",
     "expectation",
     "expectation_series",
@@ -288,29 +289,21 @@ def standard_collapse_ops(p: ModelParams, *, collective_coupling: bool = False,
     return out
 
 
-def _master_rhs_factory(hamiltonian, collapse_ops: Sequence[np.ndarray], dim: int):
-    """RHS of rho' = -i[H,rho] + sum_j D[L_j]rho, flattened.
+def liouvillian(h: np.ndarray, collapse_ops: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """Superoperator L of rho' = -i[H, rho] + sum_j D[L_j] rho, for row-major vec.
 
-    Built so that Hermiticity of rho is preserved to the last bit: the
-    commutator enters as C - C^dag, the sandwich term is symmetrized, and the
-    anticommutator is assembled as G rho + (G rho)^dag.
+    vec(rho') = L @ vec(rho) with vec(rho) = rho.ravel(), so a product A rho B
+    becomes kron(A, B.T): the commutator is -i (H x I - I x H^T), and each
+    D[L] rho = L rho L^dag - (G rho + rho G) / 2, G = L^dag L, becomes
+    L x conj(L) - (G x I + I x G^T) / 2.  collapse_ops carry their sqrt(rate).
     """
-    static_h = None if callable(hamiltonian) else np.asarray(hamiltonian, dtype=complex)
-    ops = [np.asarray(l, dtype=complex) for l in collapse_ops]
-    grams = [l.conj().T @ l for l in ops]
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        h = hamiltonian(t) if static_h is None else static_h
-        c = h @ rho
-        drho = -1j * (c - c.conj().T)
-        for l, g in zip(ops, grams):
-            s = l @ rho @ l.conj().T
-            gr = g @ rho
-            drho = drho + 0.5 * (s + s.conj().T) - 0.5 * (gr + gr.conj().T)
-        return drho.ravel()
-
-    return rhs
+    h = np.asarray(h)
+    eye = np.eye(h.shape[0])
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l in map(np.asarray, collapse_ops):
+        g = l.conj().T @ l
+        out += np.kron(l, l.conj()) - 0.5 * (np.kron(g, eye) + np.kron(eye, g.T))
+    return out
 
 
 def integrate_master(
@@ -327,49 +320,56 @@ def integrate_master(
 ) -> TimeSeries:
     """Integrate the master equation; values are the sampled density matrices.
 
-    hamiltonian is a (d,d) array or a callable t -> (d,d) array; collapse_ops
-    must already carry their sqrt(rate) scale.  With check=True the stored
-    samples are screened: trace drift beyond 1e-6 raises
-    MasterEquationAccuracyError, an eigenvalue below -1e-6 raises
-    PositivityViolationError.
+    hamiltonian is a (d,d) array, propagated exactly with no tolerance, or a
+    triple (h0, h1, envelope) for H(t) = h0 + envelope(t) * h1 with a real
+    envelope, run on DOP853 (rtol, atol, max_step); collapse_ops must already
+    carry their sqrt(rate) scale.  meta holds trace_drift (largest
+    |Tr rho - 1|) and min_eigenvalue (over all samples).  With check=True a
+    trace drift beyond 1e-6 raises MasterEquationAccuracyError, an eigenvalue
+    below -1e-6 raises PositivityViolationError.
     """
+    if callable(hamiltonian):
+        raise TypeError("hamiltonian must be a (d, d) array or a triple (h0, h1, envelope)")
+    driven = isinstance(hamiltonian, tuple)
+    # a static h1 is h0 again: it only passes through the shape check below
+    h0, h1, envelope = hamiltonian if driven else (hamiltonian, hamiltonian, None)
     if isinstance(rho0, DensityMatrix):
         rho0 = rho0.matrix
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise ValueError(f"rho0 must be square, got shape {rho0.shape}")
     dim = rho0.shape[0]
-    h0 = hamiltonian(t_span[0]) if callable(hamiltonian) else np.asarray(hamiltonian)
-    if h0.shape != (dim, dim):
-        raise ValueError(f"hamiltonian shape {h0.shape} does not match rho {rho0.shape}")
-    for l in collapse_ops:
-        if np.shape(l) != (dim, dim):
-            raise ValueError(f"collapse operator shape {np.shape(l)} != {(dim, dim)}")
+    for op in (h0, h1, *collapse_ops):
+        if np.shape(op) != (dim, dim):
+            raise ValueError(f"hamiltonian or collapse operator shape {np.shape(op)} "
+                             f"does not match rho {rho0.shape}")
+    if not t_span[1] > t_span[0]:
+        raise ValueError(f"t_span must be increasing, got {t_span}")
 
     # exact Hermitian start: symmetrize away any representational asymmetry
     rho0 = 0.5 * (rho0 + rho0.conj().T)
 
-    rhs = _master_rhs_factory(hamiltonian, collapse_ops, dim)
+    gen = liouvillian(h0, collapse_ops)
     samples = np.linspace(t_span[0], t_span[1], int(n_samples))
-    flat, _ = solve_sampled(rhs, t_span, rho0.ravel(), samples,
-                            rtol=rtol, atol=atol, max_step=max_step)
+    if not driven:
+        flat = propagate_sampled(gen, rho0.ravel(), t_span[0], samples)
+    else:
+        drive = liouvillian(h1)
+        flat, _ = solve_sampled(lambda t, y: gen @ y + envelope(t) * (drive @ y), t_span,
+                                rho0.ravel(), samples, rtol=rtol, atol=atol, max_step=max_step)
     rhos = flat.reshape(len(samples), dim, dim)
 
-    ts = TimeSeries(times=samples, values=rhos,
-                    meta={"rtol": rtol, "atol": atol})
-    if check:
-        traces = np.einsum("tii->t", rhos)
-        drift = np.abs(traces - 1.0).max()
-        if drift > 1e-6:
-            raise MasterEquationAccuracyError(
-                f"trace drifted by {drift:.3e} (> 1e-6); tighten tolerances")
-        for k in range(len(samples)):
-            m = rhos[k]
-            mn = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-            if mn < -1e-6:
-                raise PositivityViolationError(
-                    f"eigenvalue {mn:.3e} < -1e-6 at t={samples[k]:.6g}")
-    return ts
+    drift = float(np.abs(np.einsum("tii->t", rhos) - 1.0).max())
+    eigs = np.linalg.eigvalsh(rhos).min(axis=1)   # reads the lower triangle only
+    k = int(np.argmin(eigs))
+    if check and drift > 1e-6:
+        raise MasterEquationAccuracyError(
+            f"trace drifted by {drift:.3e} (> 1e-6); tighten tolerances")
+    if check and eigs[k] < -1e-6:
+        raise PositivityViolationError(
+            f"eigenvalue {eigs[k]:.3e} < -1e-6 at t={samples[k]:.6g}")
+    return TimeSeries(times=samples, values=rhos,
+                      meta={"trace_drift": drift, "min_eigenvalue": float(eigs[k])})
 
 
 def expectation(rho, op: np.ndarray) -> complex:

@@ -207,7 +207,9 @@ def ladder_cut(n_nuclei: int, fraction: float) -> int:
 
 def _pumped_rhs(model: EffectiveModel, cdn: np.ndarray):
     """rho' = -i D(t) [J+ + J-, rho] + gamma_eff D[J-] rho on the levels
-    0..K, K = len(cdn) - 1, with J+- cut to those levels."""
+    0..K, K = len(cdn) - 1, with J+- cut to those levels.  D(t) is
+    drive_coupling |eta(t)|: a pump phase rotates the state about z, to which
+    D[J-] and every recorded column (populations, |<J->|) are blind."""
     dim = cdn.size
     cdn1 = cdn[1:]
     gamma = model.gamma_eff
@@ -216,7 +218,7 @@ def _pumped_rhs(model: EffectiveModel, cdn: np.ndarray):
 
     def rhs_pumped(t, y):
         rho = y.reshape(dim, dim)
-        d = model.drive_coupling * model.pump.envelope(t)
+        d = model.drive_coupling * abs(model.pump.envelope(t))
         b = np.zeros_like(rho)
         b[1:, :] = cdn1[:, None] * rho[:-1, :]
         b[:-1, :] += cdn1[:, None] * rho[1:, :]

@@ -14,9 +14,19 @@ import pytest
 import yaml
 
 import thcavity
-from thcavity.cli import ConfigError, list_experiments, main, run_config
+from thcavity.cli import (
+    _SCHEMAS,
+    ConfigError,
+    _apply,
+    _load_config,
+    list_experiments,
+    main,
+    run_config,
+)
 from thcavity.maxwell_bloch import integrate_mbe, rabi_kick
 from thcavity.params import ModelParams
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 SPECTRUM_YAML = """\
 experiment: spectrum
@@ -451,7 +461,33 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
     assert [r["k"] for r in runs] == sorted(yaml.safe_load(SWEEP_SCAN_YAML)["scan"]["rate_k"])
     assert all(r["doubling_error"] < 1e-9 for r in runs)
 
+    health = _diagnostics(tmp_path, LINDBLAD_YAML)
+    assert set(health) == {"trace_drift", "min_eigenvalue"}
+    assert 0.0 <= health["trace_drift"] < 1e-12
+    assert -1e-12 < health["min_eigenvalue"] <= 0.0
+
     assert _diagnostics(tmp_path, SPECTRUM_YAML) == {}
+
+
+def test_overflowing_master_equation_exits_1_without_artifacts(tmp_path, capsys):
+    """kappa_vuv = 1e300 overflows the exact propagator; unchecked, it must
+    still fail loudly instead of writing NaN populations."""
+    cfg = yaml.safe_load(LINDBLAD_YAML)
+    cfg["model"]["kappa_vuv"] = 1.0e300
+    cfg["options"]["check"] = False
+    out = tmp_path / "out"
+    assert main(["lindblad11", "--config", write(tmp_path, yaml.safe_dump(cfg)),
+                 "--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "lindblad11.csv").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_bundled_configs_pass_the_schema(path):
+    """Every bundled config validates without running, so a schema change that
+    drops a field a config still sets fails here, not in a figure run."""
+    raw = _load_config(path)
+    _apply(_SCHEMAS[raw["experiment"]], raw, "")
 
 
 def test_bool_is_not_a_number(tmp_path, capsys):

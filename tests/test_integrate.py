@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from thcavity._integrate import IntegrationFailure, propagate_sampled, solve_sampled
+from thcavity.superradiance import DickeSpace, _decay_generators
 
 
 def oscillator(t, y):
@@ -86,3 +87,13 @@ def test_propagate_sampled_needs_a_uniform_grid_after_t0():
         propagate_sampled(gen, np.ones(2), 0.0, np.array([0.0, 1.0, 3.0]))
     with pytest.raises(ValueError, match="precede"):
         propagate_sampled(gen, np.ones(2), 1.0, np.array([0.5, 1.5]))
+
+
+def test_propagate_sampled_raises_on_a_non_finite_state():
+    # the Dicke decay generator at gamma = 1e306 overflows: expm gives NaN
+    a_pop, _ = _decay_generators(DickeSpace(4).lowering_amplitudes(), 1e306)
+    x0 = np.zeros(5)
+    x0[2] = 1.0
+    with pytest.raises(IntegrationFailure, match="non-finite") as err:
+        propagate_sampled(a_pop, x0, 0.0, np.linspace(0.0, 1.0, 5))
+    assert err.value.t == 0.25   # the first sample after the exact start

@@ -1,12 +1,18 @@
-"""Truncated-basis Hamiltonian builders and the dense master-equation engine."""
+"""Truncated-basis Hamiltonian builders and the Lindblad master equation."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thcavity import lindblad
+from thcavity._integrate import solve_sampled
+from thcavity.cli import run_config
 from thcavity.lindblad import (
     BASIS,
     DIM,
@@ -17,6 +23,7 @@ from thcavity.lindblad import (
     expectation,
     expectation_series,
     integrate_master,
+    liouvillian,
     mode_operators,
     population_series,
     project_to_basis,
@@ -279,13 +286,16 @@ def test_master_equation_is_linear():
 def test_time_dependent_pump_moves_population():
     p = params(pump_amp=2.0, pump_center=0.5, pump_width=0.15,
                g=0.0, kappa_vuv=0.0, gamma_minus=0.0)
+    a1 = mode_operators()["a1"]
+    h = (build_hamiltonian_explicit(replace(p, pump_amp=0.0)),
+         project_to_basis(a1 + a1.T), p.pump_envelope)
     rho0 = DensityMatrix.pure(DIM, basis_index((1, 0, 0, 0)))
-    ts = integrate_master(lambda t: build_hamiltonian_explicit(p, t), rho0, [],
-                          (0.0, 1.0), n_samples=80, max_step=0.05)
+    ts = integrate_master(h, rho0, [], (0.0, 1.0), n_samples=80, max_step=0.05)
     start = population_series(ts, basis_index((1, 0, 0, 0)))
     fed = population_series(ts, basis_index((2, 0, 0, 0)))
     assert start[-1] < 0.999
     assert fed[-1] > 1e-4
+    assert ts.meta["trace_drift"] < 1e-9
 
 
 def test_expectation_matches_manual_trace():
@@ -327,6 +337,13 @@ def test_integrate_master_input_validation():
         integrate_master(np.eye(3), np.eye(4) / 4.0)
     with pytest.raises(ValueError, match="collapse"):
         integrate_master(np.eye(3), np.eye(3) / 3.0, [np.eye(2)])
+    for span in ((1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="increasing"):
+            integrate_master(np.eye(3), np.eye(3) / 3.0, [], span)
+    with pytest.raises(ValueError, match="match"):
+        integrate_master((np.eye(3), np.eye(4), math.cos), np.eye(3) / 3.0)
+    with pytest.raises(TypeError, match=r"\(h0, h1, envelope\)"):
+        integrate_master(lambda t: np.eye(3), np.eye(3) / 3.0)
 
 
 def test_unitary_evolution_preserves_purity():
@@ -337,3 +354,132 @@ def test_unitary_evolution_preserves_purity():
                           rtol=1e-12, atol=1e-14)
     purity = np.einsum("tij,tji->t", ts.values, ts.values).real
     np.testing.assert_allclose(purity, 1.0, atol=1e-9)
+
+
+def master_rhs(hamiltonian, collapse_ops, dim):
+    """Oracle: rho' = -i[H,rho] + sum_j D[L_j]rho, flattened, from dense
+    products per call, as integrate_master stated it before the Liouvillian.
+    hamiltonian is a (d,d) array or a callable t -> (d,d) array.  Hermiticity
+    of rho is kept to the last bit: the commutator enters as C - C^dag, the
+    sandwich term is symmetrized, and the anticommutator is G rho + (G rho)^dag."""
+    static_h = None if callable(hamiltonian) else np.asarray(hamiltonian, dtype=complex)
+    ops = [np.asarray(l, dtype=complex) for l in collapse_ops]
+    grams = [l.conj().T @ l for l in ops]
+
+    def rhs(t, y):
+        rho = y.reshape(dim, dim)
+        h = hamiltonian(t) if static_h is None else static_h
+        c = h @ rho
+        drho = -1j * (c - c.conj().T)
+        for l, g in zip(ops, grams):
+            s = l @ rho @ l.conj().T
+            gr = g @ rho
+            drho = drho + 0.5 * (s + s.conj().T) - 0.5 * (gr + gr.conj().T)
+        return drho.ravel()
+
+    return rhs
+
+
+def oracle_run(hamiltonian, rho0, collapse_ops, t_span, n_samples, **kw):
+    """Density matrices of the oracle RHS on DOP853 at the sample grid."""
+    dim = rho0.shape[0]
+    samples = np.linspace(t_span[0], t_span[1], n_samples)
+    flat, _ = solve_sampled(master_rhs(hamiltonian, collapse_ops, dim), t_span,
+                            rho0.ravel(), samples, **kw)
+    return flat.reshape(n_samples, dim, dim)
+
+
+def _random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@given(dim=st.integers(1, 8), n_ops=st.integers(0, 3), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_liouvillian_is_the_master_equation_and_keeps_the_trace(dim, n_ops, scale, seed):
+    rng = np.random.default_rng(seed)
+    h = scale * _random_matrix(rng, dim)
+    h = h + h.conj().T
+    ops = [scale * _random_matrix(rng, dim) for _ in range(n_ops)]
+    rho = _random_matrix(rng, dim)
+    rho = rho + rho.conj().T
+    lv = liouvillian(h, ops)
+    assert lv.shape == (dim * dim, dim * dim)
+    # roundoff scale of the entries: |H| and |L|^2 summed over dim terms
+    tol = 1e-14 * dim * (np.abs(h).max() + sum(np.abs(l).max() ** 2 for l in ops))
+    # vec(I)^T L = 0: the trace of L vec(rho) vanishes for every rho
+    np.testing.assert_allclose(np.eye(dim).ravel() @ lv, 0.0, atol=tol)
+    np.testing.assert_allclose(lv @ rho.ravel(), master_rhs(h, ops, dim)(0.0, rho.ravel()),
+                               rtol=0, atol=dim * tol * np.abs(rho).max())
+
+
+FIG2AB = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "fig2ab_lindblad11.yaml"
+
+
+def _fig2ab_problem():
+    cfg = yaml.safe_load(FIG2AB.read_text())
+    p = ModelParams(**cfg["model"])
+    h = build_hamiltonian_operators(p, collective_coupling=True)
+    rho0 = DensityMatrix.pure(DIM, basis_index(cfg["initial_state"])).matrix
+    return h, rho0, standard_collapse_ops(p, collective_coupling=True), cfg["time"]
+
+
+def test_static_run_is_exact_against_the_tight_oracle():
+    """fig2ab propagated exactly lands within 1e-11 of the per-call RHS on
+    DOP853 at rtol 1e-13, atol 1e-15."""
+    h, rho0, ops, time = _fig2ab_problem()
+    span = (0.0, time["t_end"])
+    ts = integrate_master(h, rho0, ops, span, n_samples=time["n_samples"])
+    ref = oracle_run(h, rho0, ops, span, time["n_samples"], rtol=1e-13, atol=1e-15)
+    assert np.abs(ts.values - ref).max() < 1e-11
+    assert ts.meta["trace_drift"] < 1e-13
+
+
+def test_static_run_never_calls_the_stepper(spy_solves):
+    calls = spy_solves(lindblad)
+    h, rho0, ops, _ = _fig2ab_problem()
+    integrate_master(h, rho0, ops, (0.0, 1e-3), n_samples=20)
+    assert calls == []
+
+
+PUMPED_YAML = """\
+experiment: lindblad11
+unit: rad/s
+model:
+  g: 672.9114808246269
+  kappa_vuv: 1000.0
+  gamma_minus: 5.747126436781609e-4
+  n_nuclei: 100
+  fwm_u: 2000.0
+  pump_amp: 3000.0
+  pump_center: 1.0e-3
+  pump_width: 4.0e-4
+initial_state: [1, 0, 0, 0]
+time:
+  t_end: 4.0e-3
+  n_samples: 200
+options:
+  collective_coupling: true
+output:
+  prefix: pumped
+"""
+
+
+def test_pumped_config_matches_the_callable_hamiltonian_oracle(tmp_path):
+    """The CLI's h0 + eta(t) h1 run equals the former per-call H(t) run."""
+    path = tmp_path / "pumped.yaml"
+    path.write_text(PUMPED_YAML)
+    run_config(path, out_dir=tmp_path / "out", jobs=1)
+    rows = np.loadtxt(tmp_path / "out" / "pumped.csv", delimiter=",", skiprows=1)
+
+    cfg = yaml.safe_load(PUMPED_YAML)
+    p = ModelParams(**cfg["model"])
+    rho0 = DensityMatrix.pure(DIM, basis_index(cfg["initial_state"])).matrix
+    ref = oracle_run(lambda t: build_hamiltonian_operators(p, t, collective_coupling=True),
+                     rho0, standard_collapse_ops(p, collective_coupling=True),
+                     (0.0, cfg["time"]["t_end"]), cfg["time"]["n_samples"],
+                     rtol=1e-10, atol=1e-12, max_step=p.pump_width / 2.0)
+    pops = np.einsum("tii->ti", ref).real
+    purity = np.einsum("tij,tji->t", ref, ref).real
+    assert np.abs(rows[:, 1:-1] - pops).max() < 1e-12
+    assert np.abs(rows[:, -1] - purity).max() < 1e-12
+    assert pops[-1, basis_index((1, 0, 0, 0))] < 0.99   # the pump did act

@@ -77,30 +77,60 @@ def test_unpumped_ground_state_is_dark():
     np.testing.assert_allclose(ts.column("jz"), -3.0, atol=1e-12)
 
 
+def _two_level_reference(model, span, n_samples, phase=0.0):
+    """N = 1 is a driven two-level atom: the master equation with
+    H = d(t) sigma+ + conj(d(t)) sigma-, d = drive_coupling * envelope(t) cut
+    at pump_off_time, and sqrt(gamma) sigma- (lower state first)."""
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]])
+    t_off = pump_off_time(model.pump)
+
+    def magnitude(t):
+        return abs(model.drive_coupling * model.pump.envelope(t)) if t <= t_off else 0.0
+
+    # d sigma+ + conj(d) sigma- = |d| h1 for a pump of constant phase
+    h1 = np.exp(1j * phase) * sm.T + np.exp(-1j * phase) * sm
+    rho0 = np.zeros((2, 2), dtype=complex)
+    rho0[0, 0] = 1.0
+    return integrate_master((np.zeros((2, 2)), h1, magnitude), rho0,
+                            [math.sqrt(model.gamma_eff) * sm], span,
+                            n_samples=n_samples, rtol=1e-10, atol=1e-12,
+                            max_step=model.pump.width / 2).values
+
+
 def test_single_nucleus_agrees_with_dense_master_equation():
     """N = 1 reduces to a driven two-level atom; cross-check the banded engine
-    against the generic dense integrator on exactly that problem."""
+    against the master equation on exactly that problem."""
     gamma, d0, sigma = 2.0, 1.5, 0.05
     pump = calibrate_pump(d0, sigma=sigma, fraction=0.2)
     model = EffectiveModel(drive_coupling=d0, gamma_eff=gamma, pump=pump)
     span = (0.0, 3.0)
     ts = simulate_superradiance(model, DickeSpace(1), span, n_samples=400,
                                 rtol=1e-10, atol=1e-12)
-
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]])
-    t_off = pump_off_time(pump)
-
-    def ham(t):
-        amp = d0 * pump.envelope(t) if t <= t_off else 0.0
-        return amp * (sm + sm.T)
-
-    rho0 = np.zeros((2, 2), dtype=complex)
-    rho0[0, 0] = 1.0
-    ref = integrate_master(ham, rho0, [math.sqrt(gamma) * sm], span,
-                           n_samples=400, rtol=1e-10, atol=1e-12,
-                           max_step=sigma / 2)
+    ref = _two_level_reference(model, span, 400)
     np.testing.assert_allclose(ts.column("intensity"),
-                               gamma * ref.values[:, 1, 1].real, atol=1e-7)
+                               gamma * ref[:, 1, 1].real, atol=1e-7)
+
+
+@pytest.mark.parametrize("phase", [0.7, math.pi / 2, -2.5])
+def test_complex_pump_amplitude_is_a_rotation_the_columns_do_not_see(phase):
+    """A pump a e^{i phi} drives d sigma+ + conj(d) sigma-; intensity, g1 and
+    <Jz> equal the N = 1 master equation under that Hamiltonian."""
+    gamma, d0, sigma = 2.0, 1.5, 0.05
+    pump = calibrate_pump(d0, sigma=sigma, fraction=0.2)
+    pump = replace(pump, amplitude=pump.amplitude * complex(math.cos(phase), math.sin(phase)))
+    model = EffectiveModel(drive_coupling=d0, gamma_eff=gamma, pump=pump)
+    span = (0.0, 3.0)
+    ts = simulate_superradiance(model, DickeSpace(1), span, n_samples=400,
+                                rtol=1e-10, atol=1e-12)
+    ref = _two_level_reference(model, span, 400, phase)
+    excited = ref[:, 1, 1].real
+    coherence = np.abs(ref[:, 0, 1])
+    assert coherence.max() > 0.1
+    np.testing.assert_allclose(ts.column("intensity"), gamma * excited, atol=1e-7)
+    np.testing.assert_allclose(ts.column("jz"), excited - 0.5, atol=1e-7)
+    bright = excited > 1e-6
+    np.testing.assert_allclose(ts.column("g1")[bright],
+                               coherence[bright] / np.sqrt(excited[bright]), atol=1e-6)
 
 
 def full_ladder_burst(model, space, n_samples, *, method="DOP853", rtol=1e-10,
@@ -248,10 +278,12 @@ def _random_hermitian(rng, dim):
 
 
 @given(n=st.integers(1, 40), data=st.data(), t=st.floats(0.0, 1e-3),
-       seed=st.integers(0, 2**32 - 1))
-def test_pumped_rhs_is_traceless_and_hermitian(n, data, t, seed):
+       phase=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+def test_pumped_rhs_is_traceless_and_hermitian(n, data, t, phase, seed):
     k = data.draw(st.sampled_from(sorted({n, data.draw(st.integers(1, n))})))
     model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    pump = model.pump
+    model = replace(model, pump=replace(pump, amplitude=pump.amplitude * np.exp(1j * phase)))
     rho = _random_hermitian(np.random.default_rng(seed), k + 1)
     cdn = DickeSpace(n).lowering_amplitudes()[:k + 1]
     drho = _pumped_rhs(model, cdn)(t, rho.ravel()).reshape(k + 1, k + 1)

@@ -127,7 +127,8 @@ def test_matches_the_dop853_oracle(proto):
        omega=st.one_of(st.just(0.0), st.floats(0.05, 4.0)))
 def test_propagator_is_unitary(ratio, sign, rate_k, omega):
     delta0 = sign * ratio * (omega if omega > 0 else 1.0)
-    assume(abs(delta0) >= 3.0 * omega)
+    # the protocol's own test: 3.0 * 1.9 rounds to a ratio just below 3
+    assume(omega == 0.0 or abs(delta0) / omega >= 3.0)
     proto = quiet_protocol(delta0, rate_k, omega)
     times = np.linspace(*proto.window, 51)
     a, b = _interval_propagators(times, proto, 4)
