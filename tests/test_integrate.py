@@ -80,6 +80,17 @@ def test_propagate_sampled_keeps_a_complex_state_and_matches_solve_sampled():
     np.testing.assert_allclose(xs, ref, rtol=1e-9, atol=1e-12)
 
 
+def test_propagate_sampled_keeps_a_real_state_real():
+    # the Dicke decay steps the real coherences R[k+1, k] with a real generator
+    _, a_coh = _decay_generators(DickeSpace(12).lowering_amplitudes(), 0.7)
+    x0 = np.random.default_rng(5).normal(size=12)
+    samples = np.linspace(0.1, 1.0, 31)
+    xs = propagate_sampled(a_coh, x0, 0.0, samples)
+    assert xs.dtype == np.float64 and xs.shape == (31, 12)
+    as_complex = propagate_sampled(a_coh, x0.astype(complex), 0.0, samples)
+    np.testing.assert_allclose(xs, as_complex.real, rtol=0, atol=1e-14 * np.abs(x0).max())
+
+
 def test_propagate_sampled_needs_a_uniform_grid_after_t0():
     gen = -np.eye(2)
     assert propagate_sampled(gen, np.ones(2), 0.0, np.array([])).shape == (0, 2)

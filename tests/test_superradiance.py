@@ -133,31 +133,43 @@ def test_complex_pump_amplitude_is_a_rotation_the_columns_do_not_see(phase):
                                coherence[bright] / np.sqrt(excited[bright]), atol=1e-6)
 
 
-def full_ladder_burst(model, space, n_samples, *, method="DOP853", rtol=1e-10,
-                      atol=1e-16):
-    """Oracle: the pump and the free decay both integrated on the full (N+1)^2
-    density matrix with the banded right-hand sides, as the burst was solved
-    before the ladder cut and the exact decay; columns as simulate_superradiance."""
-    dim, gamma = space.dim, model.gamma_eff
-    cdn = space.lowering_amplitudes()
-    cdn1, g2, m = cdn[1:], cdn**2, space.m_values()
+def complex_pumped_rhs(model, cdn):
+    """Oracle: the pumped master equation on the complex rho over the levels
+    0..len(cdn) - 1, as the pump was integrated before the real reduction."""
+    dim, gamma = cdn.size, model.gamma_eff
+    cdn1, g2 = cdn[1:], cdn**2
     w_anti = 0.5 * gamma * (g2[:, None] + g2[None, :])
-
-    def dissipator(rho):
-        s = np.zeros_like(rho)
-        s[:-1, :-1] = cdn1[:, None] * rho[1:, 1:] * cdn1[None, :]
-        return gamma * s - w_anti * rho
 
     def rhs_pumped(t, y):
         rho = y.reshape(dim, dim)
         b = np.zeros_like(rho)
         b[1:, :] = cdn1[:, None] * rho[:-1, :]
         b[:-1, :] += cdn1[:, None] * rho[1:, :]
+        s = np.zeros_like(rho)
+        s[:-1, :-1] = cdn1[:, None] * rho[1:, 1:] * cdn1[None, :]
         d = model.drive_coupling * model.pump.envelope(t)
-        return ((-1j * d) * (b - b.conj().T) + dissipator(rho)).ravel()
+        return ((-1j * d) * (b - b.conj().T) + gamma * s - w_anti * rho).ravel()
 
-    def rhs_free(t, y):
-        return dissipator(y.reshape(dim, dim)).ravel()
+    return rhs_pumped
+
+
+def phase_pattern(dim):
+    """Phi[k, l] = i^(l - k): rho = Phi o R for the engine's real state R."""
+    k = np.arange(dim)
+    return 1j ** ((k[None, :] - k[:, None]) % 4)
+
+
+def full_ladder_burst(model, space, n_samples, *, method="DOP853", rtol=1e-10,
+                      atol=1e-16):
+    """Oracle: the pump and the free decay both integrated on the full complex
+    (N+1)^2 density matrix with the banded right-hand sides, as the burst was
+    solved before the ladder cut, the exact decay and the real reduction;
+    columns as simulate_superradiance."""
+    dim, gamma = space.dim, model.gamma_eff
+    cdn = space.lowering_amplitudes()
+    cdn1, g2, m = cdn[1:], cdn**2, space.m_values()
+    rhs_pumped = complex_pumped_rhs(model, cdn)
+    rhs_free = complex_pumped_rhs(replace(model, pump=OFF), cdn)
 
     def observe(t, y):
         rho = y.reshape(dim, dim)
@@ -272,24 +284,63 @@ def test_too_few_samples_is_an_error():
     assert len(simulate_superradiance(model, DickeSpace(4), n_samples=2).times) == 2
 
 
-def _random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return a + a.conj().T
+def _random_symmetric(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return a + a.T
+
+
+def _ladder(n, data):
+    """cdn on the full ladder of N = n or on a cut one, drawn by hypothesis."""
+    k = data.draw(st.sampled_from(sorted({n, data.draw(st.integers(1, n))})))
+    return DickeSpace(n).lowering_amplitudes()[:k + 1]
 
 
 @given(n=st.integers(1, 40), data=st.data(), t=st.floats(0.0, 1e-3),
        phase=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
-def test_pumped_rhs_is_traceless_and_hermitian(n, data, t, phase, seed):
-    k = data.draw(st.sampled_from(sorted({n, data.draw(st.integers(1, n))})))
+def test_pumped_rhs_is_traceless_and_symmetric(n, data, t, phase, seed):
+    cdn = _ladder(n, data)
+    dim = cdn.size
     model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
     pump = model.pump
     model = replace(model, pump=replace(pump, amplitude=pump.amplitude * np.exp(1j * phase)))
-    rho = _random_hermitian(np.random.default_rng(seed), k + 1)
-    cdn = DickeSpace(n).lowering_amplitudes()[:k + 1]
-    drho = _pumped_rhs(model, cdn)(t, rho.ravel()).reshape(k + 1, k + 1)
-    scale = np.abs(drho).max()
-    assert abs(np.trace(drho)) <= 1e-12 * scale
-    np.testing.assert_array_equal(drho, drho.conj().T)
+    r = _random_symmetric(np.random.default_rng(seed), dim)
+    dr = _pumped_rhs(model, cdn)(t, r.ravel()).reshape(dim, dim)
+    assert dr.dtype == np.float64
+    assert abs(np.trace(dr)) <= 1e-12 * np.abs(dr).max()
+    np.testing.assert_array_equal(dr, dr.T)
+
+
+@given(n=st.integers(1, 40), data=st.data(), t=st.floats(0.0, 1e-3),
+       seed=st.integers(0, 2**32 - 1))
+def test_pumped_rhs_is_the_complex_rhs_on_the_phase_pattern(n, data, t, seed):
+    cdn = _ladder(n, data)
+    dim = cdn.size
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    phi = phase_pattern(dim)
+    r = _random_symmetric(np.random.default_rng(seed), dim)
+    dr = _pumped_rhs(model, cdn)(t, r.ravel()).reshape(dim, dim)
+    drho = complex_pumped_rhs(model, cdn)(t, (phi * r).ravel()).reshape(dim, dim)
+    np.testing.assert_allclose(phi * dr, drho, rtol=0, atol=1e-14 * np.abs(drho).max())
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_the_complex_pump_keeps_the_phase_pattern(n):
+    """From |0><0| the complex rho stays Phi o R with R real through the pump,
+    the premise of the real engine."""
+    dim = ladder_cut(n, 0.1) + 1
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    cdn = DickeSpace(n).lowering_amplitudes()[:dim]
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    t_off = pump_off_time(model.pump)
+    states, rho_off = solve_sampled(complex_pumped_rhs(model, cdn), (0.0, t_off),
+                                    rho0.ravel(), np.linspace(0.0, t_off, 40),
+                                    method="RK45", rtol=1e-7, atol=1e-9,
+                                    max_step=model.pump.width / 2.0)
+    rhos = np.concatenate([states, rho_off[None]]).reshape(-1, dim, dim)
+    r = phase_pattern(dim).conj() * rhos
+    assert np.abs(r.real).max() > 0.1
+    assert np.abs(r.imag).max() <= 1e-15
 
 
 @given(n=st.integers(1, 60), data=st.data(), gamma=st.floats(1e-3, 1e3),
@@ -301,11 +352,11 @@ def test_decay_generators_are_the_free_rhs_on_two_diagonals(n, data, gamma, seed
     # the populations' generator conserves the trace: its columns sum to 0
     np.testing.assert_allclose(a_pop.sum(axis=0), 0.0, atol=1e-14 * np.abs(a_pop).max())
     model = EffectiveModel(drive_coupling=1.0, gamma_eff=gamma, pump=OFF)
-    rho = _random_hermitian(np.random.default_rng(seed), k + 1)
-    drho = _pumped_rhs(model, cdn)(0.0, rho.ravel()).reshape(k + 1, k + 1)
-    tol = 1e-13 * np.abs(drho).max()
-    np.testing.assert_allclose(a_pop @ rho.diagonal().real, drho.diagonal().real, atol=tol)
-    np.testing.assert_allclose(a_coh @ rho.diagonal(-1), drho.diagonal(-1), atol=tol)
+    r = _random_symmetric(np.random.default_rng(seed), k + 1)
+    dr = _pumped_rhs(model, cdn)(0.0, r.ravel()).reshape(k + 1, k + 1)
+    tol = 1e-13 * np.abs(dr).max()
+    np.testing.assert_allclose(a_pop @ r.diagonal(), dr.diagonal(), atol=tol)
+    np.testing.assert_allclose(a_coh @ r.diagonal(-1), dr.diagonal(-1), atol=tol)
 
 
 @pytest.mark.parametrize("n", [4, 40])
