@@ -1,14 +1,19 @@
 """Thin integration layer shared by the dynamics modules.
 
 solve_sampled wraps scipy's embedded Runge-Kutta pairs (RK45, DOP853), adding
-uniform sampling through the dense output and an optional observable callback
-so that large states (density matrices) never need to be stored per sample.
-propagate_sampled steps a constant linear generator exactly on a uniform grid.
+sampling through the dense output and an optional observable callback so that
+large states (density matrices) never need to be stored per sample.  A
+Runge-Kutta interpolant is a polynomial over its whole step, so the samples
+inside one accepted step come from one dense-output evaluation (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.6); the per-step statistics come
+back with the values.  propagate_sampled steps a constant linear generator
+exactly on a uniform grid.
 """
 
 from __future__ import annotations
 
 import math
+from time import perf_counter
 
 import numpy as np
 from scipy.integrate import DOP853, RK45
@@ -42,21 +47,30 @@ def solve_sampled(
     atol: float = 1e-10,
     max_step: float = np.inf,
 ):
-    """Integrate y' = rhs(t, y); return (values at sample_times, y_end).
+    """Integrate y' = rhs(t, y); return (values at sample_times, y_end, stats).
 
-    sample_times must be increasing and lie inside t_span.  If observe is None
-    values holds the full state at each sample as an array (n_samples, dim);
-    otherwise observe(t, y) is called per sample and its outputs are stacked,
-    keeping memory independent of the state dimension.  y_end is the dense
-    output at t_span[1], the state a following segment starts from.  A
-    non-finite derivative at t_span[0], or a step that leaves a non-finite time
-    or state, raises IntegrationFailure.
+    sample_times must be non-decreasing (repeats allowed) and lie inside
+    t_span.  After each accepted step the samples it covers are read from its
+    interpolant in one evaluation.  If observe is None values holds the full
+    state at each sample as an array (n_samples, dim); otherwise observe(t, y)
+    is called per sample and its outputs are stacked, keeping memory
+    independent of the state dimension.  y_end is the dense output at
+    t_span[1], the state a following segment starts from.  stats is a dict of
+    this segment's accepted `steps`, scipy's RHS call count `nfev` and
+    `wall_s`; scipy's OdeSolver does not expose rejected steps, so they are
+    not counted.  A non-finite derivative at t_span[0], or a step that leaves
+    a non-finite time or state, raises IntegrationFailure.
     """
+    start = perf_counter()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
     samples = np.asarray(sample_times, dtype=float)
-    if samples.size and (samples[0] < t0 - 1e-12 * abs(t0) or samples[-1] > t1 + 1e-12 * abs(t1)):
+    if not (np.diff(samples) >= 0).all():
+        # a sample behind the current step would be extrapolated from it
+        raise ValueError("sample_times must be non-decreasing")
+    if samples.size and not (samples[0] >= t0 - 1e-12 * abs(t0)
+                             and samples[-1] <= t1 + 1e-12 * abs(t1)):
         raise ValueError("sample_times must lie within t_span")
     try:
         cls = _METHODS[method]
@@ -70,12 +84,20 @@ def solve_sampled(
         raise IntegrationFailure(f"non-finite derivative at t={t0:.6g}", t=t0)
 
     out = []
-    i = 0
-    # sample exactly at t0 before stepping
-    while i < samples.size and samples[i] <= t0:
-        out.append(observe(t0, y0) if observe is not None else np.array(y0, copy=True))
-        i += 1
 
+    def take(times, states):
+        # states holds one row per sample; observe sees each row as it arrives
+        if observe is None:
+            out.append(states)
+        else:
+            out.extend(observe(t, y) for t, y in zip(times, states))
+
+    # samples exactly at t0, before stepping
+    i = int(np.searchsorted(samples, t0, side="right"))
+    if i:
+        take(np.full(i, t0), np.repeat(y0[None], i, axis=0))
+
+    steps = 0
     while solver.status == "running":
         msg = solver.step()
         if solver.status == "failed":
@@ -86,26 +108,30 @@ def solve_sampled(
             )
         if not (math.isfinite(solver.t) and np.isfinite(solver.y).all()):
             raise IntegrationFailure(f"non-finite state at t={solver.t:.6g}", t=solver.t)
+        steps += 1
         dense = None
-        if i < samples.size and samples[i] <= solver.t:
+        j = int(np.searchsorted(samples, solver.t, side="right"))
+        if j > i:
+            # every sample of the step from one evaluation of its interpolant
             dense = solver.dense_output()
-            while i < samples.size and samples[i] <= solver.t:
-                ys = dense(samples[i])
-                out.append(observe(samples[i], ys) if observe is not None else ys)
-                i += 1
+            take(samples[i:j], np.ascontiguousarray(dense(samples[i:j]).T))
+            i = j
     # the last step's interpolant, reused if a sample already built it
     y_end = (dense or solver.dense_output())(t1)
 
     # samples at exactly t1 can be left over through float comparison slop
-    while i < samples.size:
-        yf = solver.y
-        out.append(observe(samples[i], yf) if observe is not None else np.array(yf, copy=True))
-        i += 1
+    if i < samples.size:
+        take(samples[i:], np.repeat(solver.y[None], samples.size - i, axis=0))
 
-    if observe is not None and out and isinstance(out[0], tuple):
+    if observe is None:
+        values = np.concatenate(out) if out else np.empty(0)
+    elif out and isinstance(out[0], tuple):
         # observable callback returned tuples: split into one array per component
-        return [np.asarray(comp) for comp in zip(*out)], y_end
-    return np.asarray(out), y_end
+        values = [np.asarray(comp) for comp in zip(*out)]
+    else:
+        values = np.asarray(out)
+    stats = {"steps": steps, "nfev": solver.nfev, "wall_s": perf_counter() - start}
+    return values, y_end, stats
 
 
 def propagate_sampled(generator: np.ndarray, x0: np.ndarray, t0: float,

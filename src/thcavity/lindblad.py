@@ -324,9 +324,11 @@ def integrate_master(
     triple (h0, h1, envelope) for H(t) = h0 + envelope(t) * h1 with a real
     envelope, run on DOP853 (rtol, atol, max_step); collapse_ops must already
     carry their sqrt(rate) scale.  meta holds trace_drift (largest
-    |Tr rho - 1|) and min_eigenvalue (over all samples).  With check=True a
-    trace drift beyond 1e-6 raises MasterEquationAccuracyError, an eigenvalue
-    below -1e-6 raises PositivityViolationError.
+    |Tr rho - 1|), min_eigenvalue (over all samples) and solver, the
+    solve_sampled stats of the DOP853 run (empty for the exact static run).
+    With check=True a trace drift beyond 1e-6 raises
+    MasterEquationAccuracyError, an eigenvalue below -1e-6 raises
+    PositivityViolationError.
     """
     if callable(hamiltonian):
         raise TypeError("hamiltonian must be a (d, d) array or a triple (h0, h1, envelope)")
@@ -351,12 +353,15 @@ def integrate_master(
 
     gen = liouvillian(h0, collapse_ops)
     samples = np.linspace(t_span[0], t_span[1], int(n_samples))
+    solver = []
     if not driven:
         flat = propagate_sampled(gen, rho0.ravel(), t_span[0], samples)
     else:
         drive = liouvillian(h1)
-        flat, _ = solve_sampled(lambda t, y: gen @ y + envelope(t) * (drive @ y), t_span,
-                                rho0.ravel(), samples, rtol=rtol, atol=atol, max_step=max_step)
+        flat, _, stats = solve_sampled(lambda t, y: gen @ y + envelope(t) * (drive @ y),
+                                       t_span, rho0.ravel(), samples, rtol=rtol, atol=atol,
+                                       max_step=max_step)
+        solver.append(stats)
     rhos = flat.reshape(len(samples), dim, dim)
 
     drift = float(np.abs(np.einsum("tii->t", rhos) - 1.0).max())
@@ -369,7 +374,8 @@ def integrate_master(
         raise PositivityViolationError(
             f"eigenvalue {eigs[k]:.3e} < -1e-6 at t={samples[k]:.6g}")
     return TimeSeries(times=samples, values=rhos,
-                      meta={"trace_drift": drift, "min_eigenvalue": float(eigs[k])})
+                      meta={"trace_drift": drift, "min_eigenvalue": float(eigs[k]),
+                            "solver": solver})
 
 
 def expectation(rho, op: np.ndarray) -> complex:

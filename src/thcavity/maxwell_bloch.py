@@ -106,6 +106,7 @@ def integrate_mbe(
     freeze_inversion pins Z at its initial value (linearized regime).  A
     gaussian drive bounds the step size through the pulse so a narrow kick
     cannot be stepped over, then integrates the remainder unconstrained.
+    meta["solver"] lists the solve_sampled stats of each segment.
     """
     if init is None:
         init = MeanFieldState.ground()
@@ -143,23 +144,26 @@ def integrate_mbe(
     t_pulse = min(t1, drive.center + 6.0 * drive.width)
     if drive.kind == "gaussian" and drive.amplitude != 0 and t_pulse > t0:
         tail = samples[samples > t_pulse]
-        values, y_pulse = solve_sampled(
+        values, y_pulse, stats = solve_sampled(
             rhs, (t0, t_pulse), y0, samples[samples <= t_pulse],
             rtol=rtol, atol=atol, max_step=drive.width / 2.0,
         )
+        solver = [stats]
         if tail.size:
-            ys_tail, _ = solve_sampled(rhs, (t_pulse, t1), y_pulse, tail,
-                                       rtol=rtol, atol=atol)
+            ys_tail, _, stats = solve_sampled(rhs, (t_pulse, t1), y_pulse, tail,
+                                              rtol=rtol, atol=atol)
             values = np.concatenate([values, ys_tail])
+            solver.append(stats)
     else:
-        values, _ = solve_sampled(rhs, (t0, t1), y0, samples, rtol=rtol, atol=atol)
+        values, _, stats = solve_sampled(rhs, (t0, t1), y0, samples, rtol=rtol, atol=atol)
+        solver = [stats]
 
     return TimeSeries(
         times=samples,
         values=values,
         columns=MBE_COLUMNS,
         meta={"params": p, "drive": drive, "rtol": rtol, "atol": atol,
-              "freeze_inversion": freeze_inversion},
+              "freeze_inversion": freeze_inversion, "solver": solver},
     )
 
 

@@ -2,43 +2,51 @@
 
 Identical inputs must give byte-identical files, so formatting is pinned: 17
 significant digits scientific for floats, LF line endings, sorted JSON keys.
+A CSV body is one % operation: each distinct tuple of cell types in the rows
+gets one row template, built once from the conversion table.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from itertools import chain
 from pathlib import Path
 
 __all__ = ["format_float", "write_csv", "write_json"]
 
+# printf conversion per cell type, first match wins: strings and bools as
+# text, Python ints in full, and every other number (float, numpy scalars)
+# at 17 significant digits, enough to round-trip any double exactly; the
+# float conversion writes nan, inf and -inf as str() does
+_CONVERSIONS = ((str, "%s"), (bool, "%s"), (int, "%d"))
+_FLOAT = "%.16e"
+
+
+def _conversion(cell_type) -> str:
+    return next((c for t, c in _CONVERSIONS if issubclass(cell_type, t)), _FLOAT)
+
 
 def format_float(x) -> str:
-    """17 significant digits, enough to round-trip any double exactly."""
-    if isinstance(x, bool):  # bool is an int subclass; don't format it as one
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        return str(x)
-    return f"{x:.16e}"
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return format_float(v)
+    """17 significant digits; bools, ints and nan/inf as str() writes them."""
+    return _conversion(type(x)) % (x,)
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write rows of numbers/strings under a comma-joined header."""
+    """Write rows (sequences of numbers/strings) under a comma-joined header."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    rows = list(rows)
+    templates = {}
+
+    def template(row):
+        key = tuple(map(type, row))
+        if key not in templates:
+            templates[key] = ",".join(map(_conversion, key)) + "\n"
+        return templates[key]
+
+    # cells enter the body only as % arguments, so a % in a cell is literal text
+    body = "".join(map(template, rows)) % tuple(chain.from_iterable(rows))
+    path.write_text(",".join(header) + "\n" + body, newline="\n")
     return path
 
 

@@ -273,8 +273,9 @@ def simulate_superradiance(
     pump_off_time (relative envelope e^-8).  If level K then holds more than
     1e-14 the pump is rerun on the full ladder.  The free decay steps the
     populations and the first off-diagonal of R exactly on the sample grid,
-    which needs n_samples >= 2.  meta records ladder_cut and top_population
-    (level K's population at the end of the pump).
+    which needs n_samples >= 2.  meta records ladder_cut, top_population
+    (level K's population at the end of the pump) and solver, the
+    solve_sampled stats of each pump run (empty without a pump).
 
     Only the pump carries a tolerance error.  On figS1 (N = 50..500, f = 0.1)
     at the defaults, intensity is within 4e-8 of its peak and g1 within 4e-7
@@ -299,6 +300,8 @@ def simulate_superradiance(
     cdn = space.lowering_amplitudes()
     k_cut = ladder_cut(n, pump_fraction(model) if pumping else 0.0)
 
+    solver = []   # stats of each pump segment, a rerun on the full ladder included
+
     def pump(k):
         # (populations, coherences R[k+1, k]) at the samples up to t_free, R at t_free
         r0 = np.zeros((k + 1, k + 1))
@@ -310,10 +313,11 @@ def simulate_superradiance(
             r = y.reshape(k + 1, k + 1)
             return r.diagonal().copy(), r.diagonal(-1).copy()
 
-        head, y_end = solve_sampled(_pumped_rhs(model, cdn[:k + 1]), (t0, t_free),
-                                    r0.ravel(), samples[samples <= t_free],
-                                    observe=diagonals, method="RK45", rtol=rtol,
-                                    atol=atol, max_step=model.pump.width / 2.0)
+        head, y_end, stats = solve_sampled(_pumped_rhs(model, cdn[:k + 1]), (t0, t_free),
+                                           r0.ravel(), samples[samples <= t_free],
+                                           observe=diagonals, method="RK45", rtol=rtol,
+                                           atol=atol, max_step=model.pump.width / 2.0)
+        solver.append(stats)
         return head, y_end.reshape(k + 1, k + 1)
 
     head, r_free = pump(k_cut)
@@ -340,7 +344,7 @@ def simulate_superradiance(
         columns=SUPERRADIANCE_COLUMNS,
         meta={"n_nuclei": n, "gamma_eff": gamma, "t_off": t_off,
               "model": model, "rtol": rtol, "atol": atol,
-              "ladder_cut": k_cut, "top_population": top},
+              "ladder_cut": k_cut, "top_population": top, "solver": solver},
     )
 
 

@@ -1,10 +1,12 @@
-"""The shared integration layer: end state and non-finite guards of the adaptive
-solver, and the exact stepper for constant generators."""
+"""The shared integration layer: batched sampling against the per-sample loop,
+end state, statistics and non-finite guards of the adaptive solver, and the
+exact stepper for constant generators."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, RK45
 
 from thcavity._integrate import IntegrationFailure, propagate_sampled, solve_sampled
 from thcavity.superradiance import DickeSpace, _decay_generators
@@ -23,11 +25,147 @@ def oscillator(t, y):
 def test_end_state_is_the_recorded_state_at_t_end(method, t_end, n_samples):
     y0 = np.array([1.0, 0.0])
     samples = np.linspace(0.0, t_end, n_samples)
-    values, y_end = solve_sampled(oscillator, (0.0, t_end), y0, samples, method=method)
+    values, y_end, _ = solve_sampled(oscillator, (0.0, t_end), y0, samples, method=method)
     assert len(values) == n_samples
-    states, _ = solve_sampled(oscillator, (0.0, t_end), y0, np.array([t_end]),
-                              method=method)
+    states, _, _ = solve_sampled(oscillator, (0.0, t_end), y0, np.array([t_end]),
+                                 method=method)
     assert np.array_equal(y_end, states[-1])
+
+
+def per_sample_solve(rhs, t_span, y0, samples, *, observe=None, method="DOP853",
+                     rtol=1e-8, atol=1e-10, max_step=np.inf):
+    """The sampler as it was before batching: one scalar dense-output call per
+    sample.  The oracle of solve_sampled's (values, y_end)."""
+    t0, t1 = t_span
+    solver = {"RK45": RK45, "DOP853": DOP853}[method](
+        rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
+    out = []
+    i = 0
+    while i < samples.size and samples[i] <= t0:
+        out.append(observe(t0, y0) if observe is not None else np.array(y0, copy=True))
+        i += 1
+    while solver.status == "running":
+        solver.step()
+        dense = None
+        if i < samples.size and samples[i] <= solver.t:
+            dense = solver.dense_output()
+            while i < samples.size and samples[i] <= solver.t:
+                ys = dense(samples[i])
+                out.append(observe(samples[i], ys) if observe is not None else ys)
+                i += 1
+    y_end = (dense or solver.dense_output())(t1)
+    while i < samples.size:
+        out.append(observe(samples[i], solver.y) if observe is not None
+                   else np.array(solver.y, copy=True))
+        i += 1
+    if observe is not None and out and isinstance(out[0], tuple):
+        return [np.asarray(comp) for comp in zip(*out)], y_end
+    return np.asarray(out), y_end
+
+
+_WIDE = np.random.default_rng(11).normal(size=(64, 64)) / 8.0 - 0.5 * np.eye(64)
+
+# (rhs, y0, t_span): a 2-state oscillator and a 64-state linear system, whose
+# RK45 interpolant goes through BLAS (matrix-vector against matrix-matrix)
+SYSTEMS = {
+    "oscillator": (oscillator, np.array([1.0, 0.0]), (0.0, 8.0)),
+    "wide": (lambda t, y: _WIDE @ y, np.linspace(-1.0, 1.0, 64), (0.0, 3.0)),
+}
+
+
+def grids(t0, t1):
+    """Sample grids covering every branch of the sampler."""
+    return {
+        "uniform, both ends": np.linspace(t0, t1, 37),
+        "many per step": np.linspace(t0, t1, 3001),
+        "steps without samples": np.array([t0 + 0.01 * (t1 - t0), t1 - 0.3 * (t1 - t0)]),
+        "single": np.array([0.5 * (t0 + t1)]),
+        "empty": np.array([]),
+        "repeats": np.array([t0, t0, 0.5 * (t0 + t1), 0.5 * (t0 + t1), t1, t1]),
+        "past t1 by slop": np.array([t0 + 0.2, t1 * (1.0 + 5e-13)]),
+    }
+
+
+# the callbacks read both ends of the row, so a transposed block shows
+OBSERVERS = {
+    "state": None,
+    "array": lambda t, y: np.array([t, y[0], y[-1]]),
+    "tuple": lambda t, y: (t, y[:2].copy(), float(y[-1])),
+}
+
+
+def same_bits_or_last_bit(method, a, b):
+    """DOP853's interpolant is elementwise, so a batched sample has the bits of
+    the scalar call.  RK45's is h * (Q @ p): a step with several samples runs
+    one matrix-matrix product where the scalar calls ran matrix-vector
+    products, and BLAS may sum their four terms in another order: at most
+    4 eps apart on the scale of the values."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return False
+    if method == "DOP853" or not b.size:
+        return np.array_equal(a, b)
+    return bool((np.abs(a - b) <= 4 * np.finfo(float).eps * np.abs(b).max()).all())
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("max_step", [np.inf, 0.05])
+@pytest.mark.parametrize("observer", sorted(OBSERVERS))
+def test_batched_sampling_is_the_per_sample_loop(method, max_step, observer):
+    observe = OBSERVERS[observer]
+    for name, (rhs, y0, span) in SYSTEMS.items():
+        for grid, samples in grids(*span).items():
+            kw = dict(observe=observe, method=method, max_step=max_step)
+            values, y_end, _ = solve_sampled(rhs, span, y0, samples, **kw)
+            ref, ref_end = per_sample_solve(rhs, span, y0, samples, **kw)
+            assert np.array_equal(y_end, ref_end), (name, grid)
+            assert type(values) is type(ref), (name, grid)
+            pairs = zip(values, ref) if isinstance(ref, list) else [(values, ref)]
+            assert len(values) == len(ref), (name, grid)
+            assert all(same_bits_or_last_bit(method, a, b) for a, b in pairs), (name, grid)
+
+
+def test_rk45_steps_with_one_sample_keep_the_bits():
+    # one sample per step multiplies Q by a single column, the scalar call's product
+    rhs, y0, span = SYSTEMS["wide"]
+    samples = np.linspace(*span, 5)
+    values, _, _ = solve_sampled(rhs, span, y0, samples, method="RK45")
+    ref, _ = per_sample_solve(rhs, span, y0, samples, method="RK45")
+    assert np.array_equal(values, ref)
+
+
+def test_an_unsorted_grid_raises():
+    # the sample at 0.2 would otherwise be read off the interpolant of a later
+    # step: 0.81912 against the exact exp(-0.2) = 0.81873
+    with pytest.raises(ValueError, match="non-decreasing"):
+        solve_sampled(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),
+                      np.array([0.5, 1.5, 0.2, 1.0]), rtol=1e-8)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        solve_sampled(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),
+                      np.array([0.5, np.nan, 1.0]))
+
+
+def test_repeated_sample_times_give_repeated_rows():
+    values, _, _ = solve_sampled(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),
+                                 np.array([0.2, 0.2, 1.0, 1.0]), rtol=1e-10, atol=1e-12)
+    assert np.array_equal(values[0], values[1]) and np.array_equal(values[2], values[3])
+    np.testing.assert_allclose(values[[0, 2], 0], np.exp([-0.2, -1.0]), rtol=1e-8)
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_stats_count_the_segment(method):
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return oscillator(t, y)
+
+    _, _, stats = solve_sampled(rhs, (0.0, 8.0), np.array([1.0, 0.0]),
+                                np.linspace(0.0, 8.0, 9), method=method, max_step=0.25)
+    assert set(stats) == {"steps", "nfev", "wall_s"}
+    assert stats["steps"] >= 32          # 8.0 / max_step
+    assert stats["nfev"] == calls[0]
+    assert stats["wall_s"] > 0.0
 
 
 @pytest.mark.parametrize("method", ["RK45", "DOP853"])
@@ -75,8 +213,8 @@ def test_propagate_sampled_keeps_a_complex_state_and_matches_solve_sampled():
     samples = np.linspace(0.0, 2.0, 41)
     xs = propagate_sampled(gen, x0, 0.0, samples)
     assert xs.dtype == complex and xs.shape == (41, 6)
-    ref, _ = solve_sampled(lambda t, y: gen @ y, (0.0, 2.0), x0, samples,
-                           rtol=1e-12, atol=1e-14)
+    ref, _, _ = solve_sampled(lambda t, y: gen @ y, (0.0, 2.0), x0, samples,
+                              rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(xs, ref, rtol=1e-9, atol=1e-12)
 
 

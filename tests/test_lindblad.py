@@ -296,6 +296,8 @@ def test_time_dependent_pump_moves_population():
     assert start[-1] < 0.999
     assert fed[-1] > 1e-4
     assert ts.meta["trace_drift"] < 1e-9
+    (stats,) = ts.meta["solver"]
+    assert stats["steps"] >= 20 and stats["nfev"] > stats["steps"]   # max_step 0.05
 
 
 def test_expectation_matches_manual_trace():
@@ -384,8 +386,8 @@ def oracle_run(hamiltonian, rho0, collapse_ops, t_span, n_samples, **kw):
     """Density matrices of the oracle RHS on DOP853 at the sample grid."""
     dim = rho0.shape[0]
     samples = np.linspace(t_span[0], t_span[1], n_samples)
-    flat, _ = solve_sampled(master_rhs(hamiltonian, collapse_ops, dim), t_span,
-                            rho0.ravel(), samples, **kw)
+    flat, _, _ = solve_sampled(master_rhs(hamiltonian, collapse_ops, dim), t_span,
+                               rho0.ravel(), samples, **kw)
     return flat.reshape(n_samples, dim, dim)
 
 
@@ -437,8 +439,8 @@ def test_static_run_is_exact_against_the_tight_oracle():
 def test_static_run_never_calls_the_stepper(spy_solves):
     calls = spy_solves(lindblad)
     h, rho0, ops, _ = _fig2ab_problem()
-    integrate_master(h, rho0, ops, (0.0, 1e-3), n_samples=20)
-    assert calls == []
+    ts = integrate_master(h, rho0, ops, (0.0, 1e-3), n_samples=20)
+    assert calls == [] and ts.meta["solver"] == []
 
 
 PUMPED_YAML = """\

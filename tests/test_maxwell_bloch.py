@@ -162,9 +162,10 @@ def test_kick_and_free_run_are_each_solved_once(spy_solves):
     assert len(calls) == 2
     (rhs, span_k, y0, head, kw_k), (_, span_f, _, tail, kw_f) = calls
     assert span_k[1] == span_f[0] == kick.center + 6.0 * kick.width
-    ys, _ = solve_sampled(rhs, span_k, y0, np.append(head, span_k[1]), **kw_k)
-    ys_tail, _ = solve_sampled(rhs, span_f, ys[-1], tail, **kw_f)
+    ys, _, _ = solve_sampled(rhs, span_k, y0, np.append(head, span_k[1]), **kw_k)
+    ys_tail, _, _ = solve_sampled(rhs, span_f, ys[-1], tail, **kw_f)
     assert np.array_equal(ts.values, np.concatenate([ys[:-1], ys_tail]))
+    assert [sorted(s) for s in ts.meta["solver"]] == [["nfev", "steps", "wall_s"]] * 2
 
 
 def test_kick_needs_a_rate_scale():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,53 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thcavity.output import format_float, write_csv, write_json
+
+
+def cell_oracle(v) -> str:
+    """One cell as the writer formatted it before row templates."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool) or isinstance(v, int):
+        return str(v)
+    x = float(v)
+    if math.isnan(x) or math.isinf(x):
+        return str(x)
+    return f"{x:.16e}"
+
+
+def csv_oracle(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(cell_oracle(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_TEXT = st.text(alphabet="ab %,.-e%d%s", max_size=6)
+CELLS = st.one_of(
+    st.floats(),                                            # nan, ±inf and -0.0 included
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    _TEXT,
+)
+
+
+@given(header=st.lists(_TEXT, min_size=1, max_size=4),
+       rows=st.integers(1, 4).flatmap(
+           lambda w: st.lists(st.tuples(*[CELLS] * w), max_size=8)))
+def test_write_csv_is_the_cell_join(tmp_path_factory, header, rows):
+    # cell types change from row to row, so one file needs several templates
+    path = write_csv(tmp_path_factory.mktemp("csv") / "o.csv", header, rows)
+    assert path.read_bytes() == csv_oracle(header, rows)
+
+
+@pytest.mark.parametrize("rows", [[], [(0.5, "hi"), (2, "yo")],
+                                  [(-0.0, float("nan")), (float("-inf"), np.float32(0.1)),
+                                   (np.int64(3), np.bool_(True)), (True, "50%,x")]])
+def test_write_csv_pinned_cases_are_the_cell_join(tmp_path, rows):
+    path = write_csv(tmp_path / "o.csv", ("a%s", "b%%"), rows)
+    assert path.read_bytes() == csv_oracle(("a%s", "b%%"), rows)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

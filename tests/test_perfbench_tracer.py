@@ -1,6 +1,11 @@
-"""The benchmark's tracer wraps package attributes by name; each must exist."""
+"""The benchmark's tracer wraps package attributes by name; each must exist,
+and a wrapped call must pass its arguments and its return through."""
 
 from pathlib import Path
+
+import numpy as np
+
+from thcavity._integrate import solve_sampled
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -16,3 +21,33 @@ def test_tracer_installs_and_restores_every_wrapped_attribute(monkeypatch):
         assert all(getattr(mod, attr) is not fn
                    for (mod, attr), fn in zip(targets, before))
     assert [getattr(mod, attr) for mod, attr in targets] == before
+
+
+def test_traced_solve_and_write_pass_through_and_are_tallied(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    def rhs(t, y):
+        return -y
+
+    def observe(t, y):
+        return y[0], 2.0 * y[1]
+
+    args = (rhs, (0.0, 1.0), np.array([1.0, 0.5]), np.linspace(0.0, 1.0, 6))
+    ref = solve_sampled(*args, observe=observe)
+    rows = [(0.5, "a"), (2, "b")]
+    t = tracer.Tracer()
+    with t.installed():
+        got = tracer.maxwell_bloch.solve_sampled(*args, observe=observe)
+        path = tracer.cli.write_csv(tmp_path / "t.csv", ("x", "y"), rows)
+
+    values, y_end, stats = got
+    assert all(np.array_equal(a, b) for a, b in zip(values, ref[0]))
+    assert np.array_equal(y_end, ref[1])
+    assert {k: stats[k] for k in ("steps", "nfev")} == {k: ref[2][k] for k in ("steps", "nfev")}
+    assert path == tmp_path / "t.csv" and path.read_text() == "x,y\n5.0000000000000000e-01,a\n2,b\n"
+    m = t.metrics()
+    assert m["integrate.solve_calls"] == 1
+    assert m["integrate.rhs_calls"] == ref[2]["nfev"] > 0
+    assert m["integrate.samples"] == 6
+    assert m["output.files"] == 1 and m["output.bytes"] == path.stat().st_size > 0

@@ -183,11 +183,11 @@ def full_ladder_burst(model, space, n_samples, *, method="DOP853", rtol=1e-10,
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0] = 1.0
     kw = dict(observe=observe, method=method, rtol=rtol, atol=atol)
-    head, rho_off = solve_sampled(rhs_pumped, (0.0, t_off), rho0.ravel(),
-                                  samples[samples <= t_off],
-                                  max_step=model.pump.width / 2.0, **kw)
-    tail, _ = solve_sampled(rhs_free, (t_off, samples[-1]), rho_off,
-                            samples[samples > t_off], **kw)
+    head, rho_off, _ = solve_sampled(rhs_pumped, (0.0, t_off), rho0.ravel(),
+                                     samples[samples <= t_off],
+                                     max_step=model.pump.width / 2.0, **kw)
+    tail, _, _ = solve_sampled(rhs_free, (t_off, samples[-1]), rho_off,
+                               samples[samples > t_off], **kw)
     return np.column_stack([np.concatenate(ab) for ab in zip(head, tail)])
 
 
@@ -256,6 +256,7 @@ def test_guard_trip_reruns_the_pump_on_the_full_ladder(monkeypatch, spy_solves):
                                 rtol=1e-10, atol=1e-12)
     assert [y0.size for _, _, y0, _, _ in calls] == [38**2, 41**2]
     assert ts.meta["ladder_cut"] == n
+    assert [s["steps"] > 0 and s["nfev"] > s["steps"] for s in ts.meta["solver"]] == [True] * 2
     assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300))
 
 
@@ -333,10 +334,10 @@ def test_the_complex_pump_keeps_the_phase_pattern(n):
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0] = 1.0
     t_off = pump_off_time(model.pump)
-    states, rho_off = solve_sampled(complex_pumped_rhs(model, cdn), (0.0, t_off),
-                                    rho0.ravel(), np.linspace(0.0, t_off, 40),
-                                    method="RK45", rtol=1e-7, atol=1e-9,
-                                    max_step=model.pump.width / 2.0)
+    states, rho_off, _ = solve_sampled(complex_pumped_rhs(model, cdn), (0.0, t_off),
+                                       rho0.ravel(), np.linspace(0.0, t_off, 40),
+                                       method="RK45", rtol=1e-7, atol=1e-9,
+                                       max_step=model.pump.width / 2.0)
     rhos = np.concatenate([states, rho_off[None]]).reshape(-1, dim, dim)
     r = phase_pattern(dim).conj() * rhos
     assert np.abs(r.real).max() > 0.1
