@@ -1,12 +1,13 @@
 """Thin integration layer shared by the dynamics modules.
 
-solve_sampled wraps scipy's embedded Runge-Kutta pairs (RK45, DOP853), adding
-sampling through the dense output and an optional observable callback so that
-large states (density matrices) never need to be stored per sample.  A
-Runge-Kutta interpolant is a polynomial over its whole step, so the samples
-inside one accepted step come from one dense-output evaluation (Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.6); the per-step statistics come
-back with the values.  propagate_sampled steps a constant linear generator
+solve_sampled wraps scipy's DOP853, the one adaptive stepper of the package
+(the embedded Runge-Kutta pair of order 8(5,3); Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.5), adding sampling through the dense output and an
+optional observable callback so that large states (density matrices) never
+need to be stored per sample.  A Runge-Kutta interpolant is a polynomial over
+its whole step, so the samples inside one accepted step come from one
+dense-output evaluation (ibid., sec. II.6); the per-step statistics come back
+with the values.  propagate_sampled steps a constant linear generator
 exactly on a uniform grid.
 """
 
@@ -16,12 +17,10 @@ import math
 from time import perf_counter
 
 import numpy as np
-from scipy.integrate import DOP853, RK45
+from scipy.integrate import DOP853
 from scipy.linalg import expm
 
 __all__ = ["IntegrationFailure", "propagate_sampled", "solve_sampled"]
-
-_METHODS = {"RK45": RK45, "DOP853": DOP853}
 
 
 class IntegrationFailure(RuntimeError):
@@ -42,7 +41,6 @@ def solve_sampled(
     sample_times: np.ndarray,
     *,
     observe=None,
-    method: str = "DOP853",
     rtol: float = 1e-8,
     atol: float = 1e-10,
     max_step: float = np.inf,
@@ -72,13 +70,9 @@ def solve_sampled(
     if samples.size and not (samples[0] >= t0 - 1e-12 * abs(t0)
                              and samples[-1] <= t1 + 1e-12 * abs(t1)):
         raise ValueError("sample_times must lie within t_span")
-    try:
-        cls = _METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; have {sorted(_METHODS)}") from None
 
     y0 = np.asarray(y0)
-    solver = cls(rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
+    solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
     if not np.isfinite(solver.f).all():
         # a non-finite derivative makes scipy's step size nan, and step() never returns
         raise IntegrationFailure(f"non-finite derivative at t={t0:.6g}", t=t0)

@@ -66,6 +66,7 @@ from .sweep import (
     jump_time,
     jump_time_scan,
     polariton_populations,
+    sweep_diagnostics,
 )
 
 __all__ = ["ConfigError", "run_config", "main"]
@@ -441,7 +442,9 @@ def _run_rabi(cfg, out, prefix, map_fn):
             files.append(write_csv(out / f"{prefix}_trace_n{n}.csv",
                                    _MBE_TRACE_HEADER, _mbe_trace_rows(ts)))
             _log.info("[rabi] trace N=%d done", n)
-    return files, {}
+    for n, why in fit.failures:
+        _log.warning("[rabi] N=%d dropped from the fit: %s", n, why)
+    return files, {"dropped": [{"n_nuclei": n, "reason": why} for n, why in fit.failures]}
 
 
 def _run_lindblad11(cfg, out, prefix, map_fn):
@@ -611,8 +614,7 @@ def _run_sweep(cfg, out, prefix, map_fn):
         "tau_jump": tau,
         "p_nuclear_final": float(p_nuclear[-1]),
     }))
-    return files, {"substeps": ts.meta["substeps"],
-                   "doubling_error": ts.meta["doubling_error"]}
+    return files, sweep_diagnostics(ts)
 
 
 def _run_phase_diagram(cfg, out, prefix, map_fn):

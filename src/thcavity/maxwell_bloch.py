@@ -276,6 +276,7 @@ class RabiFit:
     r_squared: float
     points: tuple  # (n, sqrt_n, omega_rabi) triples
     traces: tuple  # integrate_mbe TimeSeries, one per point
+    failures: tuple  # (n, reason) pairs, one per dropped N
 
 
 def _rabi_scan_point(n, p, drive, n_periods, target_alpha, n_samples, rtol, atol):
@@ -312,8 +313,8 @@ def rabi_scaling_fit(
 
     Each N reuses p with n_nuclei replaced.  drive=None sizes a fresh kick per
     N (keeps the kick short against that N's oscillation).  Overdamped points
-    are dropped; fewer than 4 distinct usable points is an error.  map_fn may
-    be an executor's map; points evaluate independently.
+    are dropped and listed in failures; fewer than 4 distinct usable points is
+    an error.  map_fn may be an executor's map; points evaluate independently.
     """
     ns = [int(n) for n in n_values]
     if len(set(ns)) < 4:
@@ -342,4 +343,4 @@ def rabi_scaling_fit(
     fit = fit_line(x, y)
     return RabiFit(slope=fit.slope, intercept=fit.intercept,
                    r_squared=fit.r_squared, points=tuple(points),
-                   traces=tuple(traces))
+                   traces=tuple(traces), failures=tuple(failures))

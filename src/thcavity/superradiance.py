@@ -16,7 +16,7 @@ f = 0.1).  The state keeps the phase pattern of a rotated coherent spin state
 the real drive -i D [J+ + J-, .] moves an entry to a neighbouring diagonal
 times -i D c, which is just the change of i^(l-k) there, and D[J-] maps each
 diagonal of rho to itself (Gross & Haroche 1982).  So the pump runs on
-RK45 over the real (K+1)^2 block R, with the banded structure of J+- (no
+DOP853 over the real (K+1)^2 block R, with the banded structure of J+- (no
 superoperator matrix).  After the pump the observables need only the
 populations R[k, k] and the first off-diagonal R[k+1, k] = i rho[k+1, k]:
 each evolves under a constant bidiagonal generator, stepped exactly on the
@@ -269,7 +269,7 @@ def simulate_superradiance(
 
     intensity I(t) = gamma_eff <J+ J->, g1(t) = |<J->| / sqrt(<J+ J->)
     (coherence fraction, set to 0 where <J+J-> <= 1e-12).  The pump runs on
-    RK45 (rtol, atol) over the levels 0..K of ladder_cut, and is truncated at
+    DOP853 (rtol, atol) over the levels 0..K of ladder_cut, and is truncated at
     pump_off_time (relative envelope e^-8).  If level K then holds more than
     1e-14 the pump is rerun on the full ladder.  The free decay steps the
     populations and the first off-diagonal of R exactly on the sample grid,
@@ -278,11 +278,13 @@ def simulate_superradiance(
     solve_sampled stats of each pump run (empty without a pump).
 
     Only the pump carries a tolerance error.  On figS1 (N = 50..500, f = 0.1)
-    at the defaults, intensity is within 4e-8 of its peak and g1 within 4e-7
-    of a run at rtol 1e-11, atol 1e-16, except in the far tail.  Where I <
-    1e-3 of the peak, g1 is a ratio of two small numbers and is set by atol:
-    it is off by up to 3.7e-2 at N = 400 (2.1e-2 at N = 500, 3.7e-3 at
-    N = 250, 3e-9 at N = 50); rtol 1e-10, atol 1e-14 bring it to 1.1e-6.
+    at the defaults, intensity is within 1.4e-10 of its peak and g1 within
+    4.2e-10 of a run at rtol 1e-11, atol 1e-16, except where I < 1e-3 of the
+    peak.  There g1 is a ratio of two small numbers: within 1e-11 in the decay
+    tail, but set by atol at the first samples of the pump's rise (I below
+    1e-8 of the peak), off by up to 1.1e-4 at N = 350 (2.6e-5 at N = 250,
+    1.8e-5 at N = 400, 2.5e-5 at N = 500, 5e-13 at N = 50); rtol 1e-10, atol
+    1e-14 bring it to 2.5e-8.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -315,8 +317,8 @@ def simulate_superradiance(
 
         head, y_end, stats = solve_sampled(_pumped_rhs(model, cdn[:k + 1]), (t0, t_free),
                                            r0.ravel(), samples[samples <= t_free],
-                                           observe=diagonals, method="RK45", rtol=rtol,
-                                           atol=atol, max_step=model.pump.width / 2.0)
+                                           observe=diagonals, rtol=rtol, atol=atol,
+                                           max_step=model.pump.width / 2.0)
         solver.append(stats)
         return head, y_end.reshape(k + 1, k + 1)
 
@@ -349,10 +351,15 @@ def simulate_superradiance(
 
 
 def burst_diagnostics(ts: TimeSeries) -> dict:
-    """Ladder truncation and bad-cavity health of a simulate_superradiance run."""
+    """Ladder truncation, bad-cavity health and pump work of a
+    simulate_superradiance run: pump_steps and pump_nfev sum over its pump
+    segments, a rerun on the full ladder included (0 without a pump)."""
+    solver = ts.meta["solver"]
     return {"n_nuclei": ts.meta["n_nuclei"], "ladder_cut": ts.meta["ladder_cut"],
             "top_population": ts.meta["top_population"],
-            "bad_cavity_ratio": ts.meta["model"].bad_cavity_ratio}
+            "bad_cavity_ratio": ts.meta["model"].bad_cavity_ratio,
+            "pump_steps": sum(s["steps"] for s in solver),
+            "pump_nfev": sum(s["nfev"] for s in solver)}
 
 
 def post_pump_segment(ts: TimeSeries):

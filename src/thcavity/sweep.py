@@ -32,6 +32,7 @@ __all__ = [
     "NormDriftError",
     "NoJumpError",
     "integrate_sweep",
+    "sweep_diagnostics",
     "project_polariton",
     "polariton_populations",
     "jump_time",
@@ -204,6 +205,11 @@ def integrate_sweep(
                             "substeps": m, "doubling_error": diff})
 
 
+def sweep_diagnostics(ts: TimeSeries) -> dict:
+    """Step refinement and norm health of an integrate_sweep run."""
+    return {key: ts.meta[key] for key in ("substeps", "doubling_error", "max_norm_drift")}
+
+
 def _branch_populations(c_photon, c_nuclear, delta, omega):
     """(P_upper, P_lower) of amplitudes in the instantaneous branch basis.
 
@@ -282,7 +288,7 @@ class SweepScanResult:
     points: tuple  # (k, gamma_lz, tau_jump) triples
     slope: float
     r_squared: float
-    diagnostics: tuple  # per point: k, substeps, doubling_error
+    diagnostics: tuple  # per point: k, substeps, doubling_error, max_norm_drift
 
 
 def _jump_scan_point(k, omega, delta0, samples_per_period, min_samples):
@@ -293,7 +299,7 @@ def _jump_scan_point(k, omega, delta0, samples_per_period, min_samples):
     ts = integrate_sweep(proto, n_samples=n)
     p_up, _ = polariton_populations(ts)
     return (k, proto.lz_parameter, jump_time(ts.times, p_up)), {
-        "k": k, "substeps": ts.meta["substeps"], "doubling_error": ts.meta["doubling_error"]}
+        "k": k, **sweep_diagnostics(ts)}
 
 
 def jump_time_scan(

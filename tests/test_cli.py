@@ -239,6 +239,20 @@ def test_rabi_jobs_do_not_change_the_artifacts(tmp_path):
         assert np.array_equal(written, expected)
 
 
+def test_rabi_lists_the_overdamped_n_it_drops(tmp_path, caplog):
+    """At kappa = 4.5, N = 1 has N g^2 = 1 < ((kappa - gamma) / 4)^2 = 1.265: the
+    run drops it, fits the other four and names it in the manifest."""
+    text = (RABI_YAML.replace("kappa_vuv: 0.5", "kappa_vuv: 4.5")
+            .replace("n_nuclei: [16, 25, 36, 49]", "n_nuclei: [1, 16, 25, 36, 49]"))
+    cfg, out = write(tmp_path, text), tmp_path / "out"
+    assert main(["rabi", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    assert json.loads((out / "rabi_fit.json").read_text())["n_nuclei"] == [16, 25, 36, 49]
+    dropped = json.loads((out / "manifest.json").read_text())["diagnostics"]["dropped"]
+    assert [d["n_nuclei"] for d in dropped] == [1]
+    assert "overdamped" in dropped[0]["reason"]
+    assert "N=1 dropped" in caplog.text
+
+
 def test_sweep_single_run_artifacts(tmp_path):
     cfg = write(tmp_path, SWEEP_YAML)
     out = tmp_path / "out"
@@ -448,18 +462,26 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
         assert r["ladder_cut"] == r["n_nuclei"]
         assert 0.0 <= r["top_population"] < 1e-3
         assert r["bad_cavity_ratio"] == pytest.approx(2.0e5 / (106.8 * math.sqrt(r["n_nuclei"])))
+        # DOP853 spends 12 RHS calls on each step
+        assert 12 * r["pump_steps"] <= r["pump_nfev"] and r["pump_steps"] > 0
 
     runs = _diagnostics(tmp_path, LIFETIME_YAML)["runs"]
     assert [r["kappa_vuv"] for r in runs] == [1.0e5, 2.0e5, 4.0e5]
     assert {r["ladder_cut"] for r in runs} == {6}
+    assert all(12 * r["pump_steps"] <= r["pump_nfev"] and r["pump_steps"] > 0 for r in runs)
 
+    sweep_keys = {"substeps", "doubling_error", "max_norm_drift"}
     single = _diagnostics(tmp_path, SWEEP_YAML)
-    assert set(single) == {"substeps", "doubling_error"}
+    assert set(single) == sweep_keys
     assert single["substeps"] >= 1 and 0.0 <= single["doubling_error"] < 1e-9
+    assert 0.0 <= single["max_norm_drift"] < 1e-12
 
     runs = _diagnostics(tmp_path, SWEEP_SCAN_YAML)["runs"]
     assert [r["k"] for r in runs] == sorted(yaml.safe_load(SWEEP_SCAN_YAML)["scan"]["rate_k"])
-    assert all(r["doubling_error"] < 1e-9 for r in runs)
+    assert all(set(r) == {"k", *sweep_keys} for r in runs)
+    assert all(r["doubling_error"] < 1e-9 and 0.0 <= r["max_norm_drift"] < 1e-12 for r in runs)
+
+    assert _diagnostics(tmp_path, RABI_YAML) == {"dropped": []}
 
     health = _diagnostics(tmp_path, LINDBLAD_YAML)
     assert set(health) == {"trace_drift", "min_eigenvalue"}

@@ -85,7 +85,7 @@ def test_matches_brute_force_lab_frame_integration():
         return np.array([-1j * (d * y[0] + w * y[1]), -1j * w * y[0]])
 
     ref, _, _ = solve_sampled(rhs, proto.window, np.array([1.0 + 0j, 0j]),
-                              ts.times, method="DOP853", rtol=1e-12, atol=1e-14)
+                              ts.times, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(ts.values, ref, atol=1e-9)
 
 
@@ -102,7 +102,7 @@ def dop853_sweep(proto, n_samples):
     t0, t1 = proto.window
     samples = np.linspace(t0, t1, n_samples)
     amps, _, _ = solve_sampled(rhs, (t0, t1), np.array([1.0 + 0j, 0j]), samples,
-                               method="DOP853", rtol=1e-12, atol=1e-14)
+                               rtol=1e-12, atol=1e-14)
     phase = (half / k) * (_log_cosh(k * samples) - _log_cosh(k * t0))
     return amps * np.exp(-1j * phase)[:, None]
 
