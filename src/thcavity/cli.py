@@ -490,7 +490,11 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
         dump = out / f"{prefix}_operators.txt"
         dump.write_text("\n".join(lines) + "\n", newline="\n")
         files.append(dump)
-    return files, {key: ts.meta[key] for key in ("trace_drift", "min_eigenvalue")}
+    solver = ts.meta["solver"]     # empty for the exact static run
+    return files, {"trace_drift": ts.meta["trace_drift"],
+                   "min_eigenvalue": ts.meta["min_eigenvalue"],
+                   "steps": sum(s["steps"] for s in solver),
+                   "nfev": sum(s["nfev"] for s in solver)}
 
 
 def _superradiance_run(n, p, sigma, fraction, n_samples, rtol, atol):
@@ -621,6 +625,13 @@ def _run_phase_diagram(cfg, out, prefix, map_fn):
     mod, grid = cfg["model"], cfg["grid"]
     if mod["gamma_minus"] <= 0:
         raise ConfigError("model.gamma_minus: must be > 0 (cooperativity)")
+    # the cooperativity margin scales as g^2 / gamma_minus at every grid point:
+    # when that alone overflows, the grid is not at fault
+    if not math.isfinite(mod["g"] * mod["g"]):
+        raise ConfigError(f"model.g: g^2 overflows at g={mod['g']}")
+    if not math.isfinite(mod["g"] * mod["g"] / mod["gamma_minus"]):
+        raise ConfigError(f"model.gamma_minus: g^2 / gamma_minus overflows at "
+                          f"g={mod['g']}, gamma_minus={mod['gamma_minus']}")
     for axis in ("kappa", "sqrt_n"):
         if not grid[axis]["max"] > grid[axis]["min"]:
             raise ConfigError(f"grid.{axis}.max: must exceed grid.{axis}.min")

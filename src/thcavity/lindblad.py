@@ -306,6 +306,42 @@ def liouvillian(h: np.ndarray, collapse_ops: Sequence[np.ndarray] = ()) -> np.nd
     return out
 
 
+def _real_basis(dim: int):
+    """Row-major vec positions (diagonal, upper, lower) that span the real
+    Hermitian basis: the units E_ii, then (E_ij + E_ji)/sqrt(2) and
+    i(E_ji - E_ij)/sqrt(2) for each i < j, in the order of np.triu_indices.
+    The basis is orthonormal under Tr(A^dag B)."""
+    i, j = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
+
+
+def _coordinates(v: np.ndarray) -> np.ndarray:
+    """x_a = Tr(E_a rho) along axis 0 of v = vec(rho) (row-major), for every
+    column of v; real for a Hermitian rho, complex otherwise."""
+    diag, up, lo = _real_basis(math.isqrt(v.shape[0]))
+    return np.concatenate([v[diag], (v[up] + v[lo]) / _SQRT2, 1j * (v[up] - v[lo]) / _SQRT2])
+
+
+def _to_real(lv: np.ndarray) -> np.ndarray:
+    """The superoperator lv in the real Hermitian basis, T lv T^dag with T the
+    unitary vec(rho) -> x; real to roundoff whenever lv maps Hermitian rho to
+    Hermitian rho, as every Liouvillian does (returned complex)."""
+    return _coordinates(_coordinates(lv).conj().T).conj().T
+
+
+def _from_real(x: np.ndarray, dim: int) -> np.ndarray:
+    """Density matrices (n, dim, dim) from real coordinates x (n, dim**2); each
+    is Hermitian to the last bit."""
+    diag, up, lo = _real_basis(dim)
+    k = up.size
+    sym, anti = x[:, dim:dim + k] / _SQRT2, x[:, dim + k:] / _SQRT2
+    flat = np.empty(x.shape, dtype=complex)
+    flat[:, diag] = x[:, :dim]
+    flat[:, up] = sym - 1j * anti
+    flat[:, lo] = sym + 1j * anti
+    return flat.reshape(len(x), dim, dim)
+
+
 def integrate_master(
     hamiltonian,
     rho0,
@@ -323,7 +359,12 @@ def integrate_master(
     hamiltonian is a (d,d) array, propagated exactly with no tolerance, or a
     triple (h0, h1, envelope) for H(t) = h0 + envelope(t) * h1 with a real
     envelope, run on DOP853 (rtol, atol, max_step); collapse_ops must already
-    carry their sqrt(rate) scale.  meta holds trace_drift (largest
+    carry their sqrt(rate) scale.  Both runs step the real coordinates
+    x_a = Tr(E_a rho) in an orthonormal Hermitian basis (E_ii, then
+    (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2) for i < j), where the
+    Liouvillian is a real d^2 x d^2 matrix, so no complex arithmetic is
+    stepped; the density matrices are rebuilt from all samples at once, each
+    Hermitian to the last bit.  meta holds trace_drift (largest
     |Tr rho - 1|), min_eigenvalue (over all samples) and solver, the
     solve_sampled stats of the DOP853 run (empty for the exact static run).
     With check=True a trace drift beyond 1e-6 raises
@@ -348,23 +389,22 @@ def integrate_master(
     if not t_span[1] > t_span[0]:
         raise ValueError(f"t_span must be increasing, got {t_span}")
 
-    # exact Hermitian start: symmetrize away any representational asymmetry
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-
-    gen = liouvillian(h0, collapse_ops)
+    # the real part of the coordinates is those of rho0's Hermitian part
+    x0 = _coordinates(rho0.ravel()).real
+    gen = _to_real(liouvillian(h0, collapse_ops)).real.copy()   # contiguous for BLAS
     samples = np.linspace(t_span[0], t_span[1], int(n_samples))
     solver = []
     if not driven:
-        flat = propagate_sampled(gen, rho0.ravel(), t_span[0], samples)
+        xs = propagate_sampled(gen, x0, t_span[0], samples)
     else:
-        drive = liouvillian(h1)
-        flat, _, stats = solve_sampled(lambda t, y: gen @ y + envelope(t) * (drive @ y),
-                                       t_span, rho0.ravel(), samples, rtol=rtol, atol=atol,
-                                       max_step=max_step)
+        drive = _to_real(liouvillian(h1)).real.copy()
+        xs, _, stats = solve_sampled(lambda t, y: gen @ y + envelope(t) * (drive @ y),
+                                     t_span, x0, samples, rtol=rtol, atol=atol,
+                                     max_step=max_step)
         solver.append(stats)
-    rhos = flat.reshape(len(samples), dim, dim)
+    rhos = _from_real(xs, dim)
 
-    drift = float(np.abs(np.einsum("tii->t", rhos) - 1.0).max())
+    drift = float(np.abs(xs[:, :dim].sum(axis=1) - 1.0).max())
     eigs = np.linalg.eigvalsh(rhos).min(axis=1)   # reads the lower triangle only
     k = int(np.argmin(eigs))
     if check and drift > 1e-6:

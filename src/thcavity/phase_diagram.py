@@ -126,7 +126,8 @@ def grid_scan(
     points = []
     boundary_sc = []
     boundary_coop = []
-    for s in sqrt_ns:
+    # Python floats overflow to inf silently, where numpy scalars would warn
+    for s in sqrt_ns.tolist():
         n = round(s * s) if snap_integer_n else s * s
         row = [classify_rates(g, n, float(k), gamma_minus) for k in kappas]
         points.extend(row)

@@ -143,13 +143,26 @@ def _interval_propagators(times, proto: SweepProtocol, m: int):
 
 
 def _chain(a, b) -> np.ndarray:
-    """States (n, 2) at the samples, from the photon (1, 0), one interval at a time."""
-    p, q = 1.0 + 0.0j, 0.0j
-    out = [(p, q)]
-    for aj, bj in zip(a.tolist(), b.tolist()):
-        p, q = aj * p - bj.conjugate() * q, bj * p + aj.conjugate() * q
-        out.append((p, q))
-    return np.array(out)
+    """States (n, 2) at the samples, from the photon (1, 0) through the interval
+    propagators (a, b) in turn.
+
+    Sample j holds the first column (a, b) of U_j ... U_1.  The products come
+    from a Hillis-Steele prefix scan (Hillis & Steele, Commun. ACM 29, 1170
+    (1986)): in the pass with offset d = 1, 2, 4, ..., entry j >= d is
+    composed with entry j - d as U2 U1 = (a2 a1 - b2* b1, b2 a1 + a2* b1),
+    so after the pass it spans up to 2d intervals, and log2(n) array passes
+    replace the loop over the intervals.
+    """
+    a, b = a.astype(complex), b.astype(complex)
+    d = 1
+    while d < a.size:
+        a[d:], b[d:] = (a[d:] * a[:-d] - b[d:].conj() * b[:-d],
+                        b[d:] * a[:-d] + a[d:].conj() * b[:-d])
+        d *= 2
+    out = np.empty((a.size + 1, 2), dtype=complex)
+    out[0] = 1.0, 0.0
+    out[1:, 0], out[1:, 1] = a, b
+    return out
 
 
 def integrate_sweep(

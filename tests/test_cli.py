@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,13 +377,31 @@ def test_unknown_keys_are_rejected_with_their_path(tmp_path, capsys):
     pytest.param("phase-diagram", PHASE_YAML, "max: 8.0", "max: 1.0e+200",
                  "grid", id="overflow-sqrt-n"),
     pytest.param("phase-diagram", PHASE_YAML, "gamma_minus: 0.1",
-                 "gamma_minus: 1.0e-320", "grid", id="overflow-gamma-minus"),
+                 "gamma_minus: 1.0e-320", "model.gamma_minus", id="overflow-gamma-minus"),
 ])
 def test_negative_rate_is_a_config_error(tmp_path, capsys, command, text, old, new, path):
     assert old in text
     cfg = write(tmp_path, text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{path}:" in capsys.readouterr().err
+
+
+# g^2 / gamma_minus scales the cooperativity margin of every grid point: when
+# it overflows alone, the model field is named, and no numpy warning leaks
+@pytest.mark.parametrize("old, new, path", [
+    ("gamma_minus: 0.1", "gamma_minus: 1.0e-320", "model.gamma_minus"),
+    ("g: 1.0", "g: 1.0e+200", "model.g"),
+    ("max: 8.0", "max: 1.0e+200", "grid"),
+], ids=["gamma-minus", "g", "grid"])
+def test_phase_diagram_overflow_names_its_cause_without_a_warning(tmp_path, capsys,
+                                                                  old, new, path):
+    cfg = write(tmp_path, PHASE_YAML.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:")
+    assert "Warning" not in err
 
 
 # a minimal valid config of every experiment; the sweep also as a scan
@@ -449,10 +468,13 @@ def test_too_few_burst_samples_is_a_config_error(tmp_path, capsys, name, n_sampl
 def _diagnostics(tmp_path, text):
     cfg = yaml.safe_load(text)
     out = tmp_path / cfg["experiment"]
-    first = run_config(write(tmp_path, text), out_dir=out, jobs=1)["diagnostics"]
-    again = run_config(write(tmp_path, text), out_dir=out, jobs=1)["diagnostics"]
-    assert json.loads((out / "manifest.json").read_text())["diagnostics"] == first == again
-    return first
+    first = run_config(write(tmp_path, text), out_dir=out, jobs=1)
+    again = run_config(write(tmp_path, text), out_dir=out, jobs=1)
+    assert json.loads((out / "manifest.json").read_text())["diagnostics"] == again["diagnostics"]
+    # the diagnostics hold no wall time: reruns differ only in duration_seconds
+    first.pop("duration_seconds"), again.pop("duration_seconds")
+    assert first == again
+    return first["diagnostics"]
 
 
 def test_manifest_carries_the_run_diagnostics(tmp_path):
@@ -484,9 +506,15 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
     assert _diagnostics(tmp_path, RABI_YAML) == {"dropped": []}
 
     health = _diagnostics(tmp_path, LINDBLAD_YAML)
-    assert set(health) == {"trace_drift", "min_eigenvalue"}
+    assert set(health) == {"trace_drift", "min_eigenvalue", "steps", "nfev"}
     assert 0.0 <= health["trace_drift"] < 1e-12
     assert -1e-12 < health["min_eigenvalue"] <= 0.0
+    assert health["steps"] == health["nfev"] == 0    # the static run is exact
+
+    pumped = _diagnostics(tmp_path, LINDBLAD_YAML.replace(
+        "fwm_u: 2.0", "fwm_u: 2.0\n  pump_amp: 3.0\n  pump_center: 0.2\n  pump_width: 0.05"))
+    assert 12 * pumped["steps"] <= pumped["nfev"] and pumped["steps"] > 0
+    assert 0.0 <= pumped["trace_drift"] < 1e-9
 
     assert _diagnostics(tmp_path, SPECTRUM_YAML) == {}
 

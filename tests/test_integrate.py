@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
+from scipy.linalg import expm
 
 from thcavity._integrate import IntegrationFailure, propagate_sampled, solve_sampled
 from thcavity.superradiance import DickeSpace, _decay_generators
@@ -157,6 +158,35 @@ def test_nan_derivative_mid_run_raises():
         solve_sampled(rhs, (0.0, 1.0), np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 5))
     assert 0.0 < err.value.t <= 0.5
 
+
+
+def matvec_loop(generator, x0, t0, samples):
+    """Oracle: one product with expm(generator * dt) per sample."""
+    out = [expm(generator * (samples[0] - t0)) @ x0]
+    if len(samples) > 1:
+        step = expm(generator * (samples[-1] - samples[0]) / (len(samples) - 1))
+        for _ in samples[1:]:
+            out.append(step @ out[-1])
+    return np.array(out)
+
+
+# n = 1 and 2 are all loop; 24, 25 and 26 end on a block short by one and a
+# full block (B = ceil(sqrt(n)) = 5), and on a block of two (B = 6)
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 26, 1200])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blocked_powers_are_the_matvec_loop(n, dtype):
+    rng = np.random.default_rng(n)
+    # a damped generator with rotation, so the states neither blow up nor vanish
+    gen = rng.normal(size=(9, 9)) - 4.0 * np.eye(9)
+    gen -= np.linalg.eigvals(gen).real.max() * np.eye(9)
+    x0 = rng.normal(size=9).astype(dtype)
+    if dtype is complex:
+        x0 += 1j * rng.normal(size=9)
+    samples = np.linspace(0.2, 3.0, n)
+    xs = propagate_sampled(gen, x0, 0.1, samples)
+    assert xs.dtype == dtype and xs.shape == (n, 9)
+    ref = matvec_loop(gen, x0, 0.1, samples)
+    np.testing.assert_allclose(xs, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_propagate_sampled_is_the_closed_form():

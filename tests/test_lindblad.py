@@ -17,6 +17,9 @@ from thcavity.lindblad import (
     BASIS,
     DIM,
     DensityMatrix,
+    _coordinates,
+    _from_real,
+    _to_real,
     basis_index,
     build_hamiltonian_explicit,
     build_hamiltonian_operators,
@@ -414,6 +417,53 @@ def test_liouvillian_is_the_master_equation_and_keeps_the_trace(dim, n_ops, scal
                                rtol=0, atol=dim * tol * np.abs(rho).max())
 
 
+def hermitian_basis(dim):
+    """Oracle: the basis matrices E_a written out, in the order of _coordinates."""
+    units = [np.zeros((dim, dim), dtype=complex) for _ in range(dim * dim)]
+    i, j = np.triu_indices(dim, 1)
+    for k in range(dim):
+        units[k][k, k] = 1.0
+    for k, (a, b) in enumerate(zip(i, j)):
+        sym, anti = units[dim + k], units[dim + i.size + k]
+        sym[a, b] = sym[b, a] = 1.0 / SQRT2
+        anti[b, a], anti[a, b] = 1j / SQRT2, -1j / SQRT2
+    return units
+
+
+@given(dim=st.integers(1, 8), n_ops=st.integers(0, 3), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_real_basis_is_an_isometry_and_keeps_the_liouvillian_real(dim, n_ops, scale, seed):
+    rng = np.random.default_rng(seed)
+    h = scale * _random_matrix(rng, dim)
+    h = h + h.conj().T
+    ops = [scale * _random_matrix(rng, dim) for _ in range(n_ops)]
+    rho = _random_matrix(rng, dim)
+    rho = rho + rho.conj().T
+    basis = hermitian_basis(dim)
+    # the coordinates are Tr(E_a rho), E_a Hermitian and orthonormal
+    gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
+    np.testing.assert_allclose(gram, np.eye(dim * dim), rtol=0, atol=1e-15)
+    x = _coordinates(rho.ravel())
+    np.testing.assert_allclose(x, [np.trace(e @ rho) for e in basis], rtol=0,
+                               atol=1e-15 * dim * np.abs(rho).max())
+    # rho <-> x keeps the Frobenius norm, and a Hermitian rho has real x
+    assert np.abs(x.imag).max() <= 1e-15 * np.abs(rho).max()
+    np.testing.assert_allclose(np.linalg.norm(x.real), np.linalg.norm(rho), rtol=1e-14)
+    back = _from_real(x.real[None], dim)[0]
+    assert np.array_equal(back, back.conj().T)
+    np.testing.assert_allclose(back, rho, rtol=0, atol=1e-15 * np.abs(rho).max())
+    # the Liouvillian is real in this basis, and its trace row vanishes
+    lv = liouvillian(h, ops)
+    real = _to_real(lv)
+    # the entries' scale: |H| and |L|^2 summed over dim terms, as in the test above
+    norm = dim * (np.abs(h).max() + sum(np.abs(l).max() ** 2 for l in ops))
+    assert np.abs(real.imag).max() <= 1e-12 * norm
+    np.testing.assert_allclose(real.sum(axis=0, where=np.arange(dim * dim)[:, None] < dim),
+                               0.0, atol=1e-12 * norm)
+    np.testing.assert_allclose(real.real @ x.real, _coordinates(lv @ rho.ravel()).real,
+                               rtol=0, atol=1e-12 * norm * np.abs(rho).max())
+
+
 FIG2AB = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "fig2ab_lindblad11.yaml"
 
 
@@ -467,7 +517,8 @@ output:
 
 
 def test_pumped_config_matches_the_callable_hamiltonian_oracle(tmp_path):
-    """The CLI's h0 + eta(t) h1 run equals the former per-call H(t) run."""
+    """The CLI's h0 + eta(t) h1 run, stepped in the real basis at rtol 1e-10,
+    lands within 1e-10 of the per-call complex H(t) run at rtol 1e-13."""
     path = tmp_path / "pumped.yaml"
     path.write_text(PUMPED_YAML)
     run_config(path, out_dir=tmp_path / "out", jobs=1)
@@ -479,9 +530,10 @@ def test_pumped_config_matches_the_callable_hamiltonian_oracle(tmp_path):
     ref = oracle_run(lambda t: build_hamiltonian_operators(p, t, collective_coupling=True),
                      rho0, standard_collapse_ops(p, collective_coupling=True),
                      (0.0, cfg["time"]["t_end"]), cfg["time"]["n_samples"],
-                     rtol=1e-10, atol=1e-12, max_step=p.pump_width / 2.0)
+                     rtol=1e-13, atol=1e-15, max_step=p.pump_width / 2.0)
     pops = np.einsum("tii->ti", ref).real
     purity = np.einsum("tij,tji->t", ref, ref).real
-    assert np.abs(rows[:, 1:-1] - pops).max() < 1e-12
-    assert np.abs(rows[:, -1] - purity).max() < 1e-12
+    assert np.abs(rows[:, 1:-1] - pops).max() < 1e-10
+    # purity is quadratic in rho: an error d in rho moves it by up to 2|d|
+    assert np.abs(rows[:, -1] - purity).max() < 2e-10
     assert pops[-1, basis_index((1, 0, 0, 0))] < 0.99   # the pump did act

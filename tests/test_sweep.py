@@ -136,6 +136,31 @@ def test_propagator_is_unitary(ratio, sign, rate_k, omega):
     assert integrate_sweep(proto, n_samples=201).meta["max_norm_drift"] < 1e-12
 
 
+def sequential_chain(a, b):
+    """Oracle: the states from the photon (1, 0), one interval at a time."""
+    p, q = 1.0 + 0.0j, 0.0j
+    out = [(p, q)]
+    for aj, bj in zip(a.tolist(), b.tolist()):
+        p, q = aj * p - bj.conjugate() * q, bj * p + aj.conjugate() * q
+        out.append((p, q))
+    return np.array(out)
+
+
+@settings(max_examples=40)
+@given(ratio=st.floats(3.0, 60.0), sign=st.sampled_from([-1.0, 1.0]),
+       rate_k=st.floats(0.5, 20.0), omega=st.floats(0.05, 4.0),
+       n_samples=st.integers(1, 700), m=st.sampled_from([1, 2, 8]))
+def test_prefix_chain_is_the_sequential_chain(ratio, sign, rate_k, omega, n_samples, m):
+    delta0 = sign * ratio * omega
+    # the protocol's own test: 3.0 * omega / omega can round to just below 3
+    assume(abs(delta0) / omega >= 3.0)
+    proto = quiet_protocol(delta0, rate_k, omega)
+    a, b = _interval_propagators(np.linspace(*proto.window, n_samples), proto, m)
+    states = _chain(a, b)
+    assert states.shape == (n_samples, 2)
+    np.testing.assert_allclose(states, sequential_chain(a, b), rtol=0, atol=1e-13)
+
+
 def test_step_is_fourth_order():
     # halving the step cuts the error 16-fold; without the commutator term
     # b_y the step would be second order and cut it 4-fold
