@@ -44,7 +44,7 @@ from .lindblad import (
     project_to_basis,
     standard_collapse_ops,
 )
-from .maxwell_bloch import rabi_scaling_fit
+from .maxwell_bloch import linear_rabi_frequency, rabi_scaling_fit
 from .output import write_csv, write_json
 from .params import ModelParams
 from .phase_diagram import grid_scan
@@ -402,21 +402,21 @@ def _run_spectrum(cfg, out, prefix, map_fn):
         raise ConfigError("scan.delta_max: must exceed scan.delta_min")
     points = _build(spectrum_scan, "scan", cfg["omega"],
                     (scan["delta_min"], scan["delta_max"], scan["n_points"]))
-    rows = [(pt.detuning, pt.e_upper, pt.e_lower,
-             pt.photon_fraction_lp, pt.nuclear_fraction_lp) for pt in points]
+    columns = np.array([(pt.detuning, pt.e_upper, pt.e_lower, pt.photon_fraction_lp,
+                         pt.nuclear_fraction_lp) for pt in points]).T
     path = write_csv(out / f"{prefix}.csv",
-                     ("delta", "e_upper", "e_lower", "c2_lp", "x2_lp"), rows)
+                     ("delta", "e_upper", "e_lower", "c2_lp", "x2_lp"), columns)
     return [path], {}
 
 
 _MBE_TRACE_HEADER = ("t", "re_alpha", "im_alpha", "abs_alpha_sq", "re_P", "im_P", "Z")
 
 
-def _mbe_trace_rows(ts):
+def _mbe_trace_columns(ts):
     a_re = ts.column("re_alpha")
     a_im = ts.column("im_alpha")
-    return list(zip(ts.times, a_re, a_im, a_re**2 + a_im**2,
-                    ts.column("re_p"), ts.column("im_p"), ts.column("z")))
+    return (ts.times, a_re, a_im, a_re**2 + a_im**2,
+            ts.column("re_p"), ts.column("im_p"), ts.column("z"))
 
 
 def _run_rabi(cfg, out, prefix, map_fn):
@@ -429,7 +429,7 @@ def _run_rabi(cfg, out, prefix, map_fn):
                            n_samples=tol["n_samples"], rtol=tol["rtol"],
                            atol=tol["atol"], map_fn=map_fn)
     files = [write_csv(out / f"{prefix}.csv", ("sqrt_n", "omega_rabi"),
-                       [(s, w) for _, s, w in fit.points])]
+                       ([s for _, s, _ in fit.points], [w for _, _, w in fit.points]))]
     files.append(write_json(out / f"{prefix}_fit.json", {
         "n_nuclei": [n for n, _, _ in fit.points],
         "sqrt_n": [s for _, s, _ in fit.points],
@@ -440,11 +440,17 @@ def _run_rabi(cfg, out, prefix, map_fn):
     if cfg["emit_traces"]:
         for (n, _, _), ts in zip(fit.points, fit.traces):
             files.append(write_csv(out / f"{prefix}_trace_n{n}.csv",
-                                   _MBE_TRACE_HEADER, _mbe_trace_rows(ts)))
+                                   _MBE_TRACE_HEADER, _mbe_trace_columns(ts)))
             _log.info("[rabi] trace N=%d done", n)
     for n, why in fit.failures:
         _log.warning("[rabi] N=%d dropped from the fit: %s", n, why)
-    return files, {"dropped": [{"n_nuclei": n, "reason": why} for n, why in fit.failures]}
+    points = [{"n_nuclei": n,
+               "steps": sum(s["steps"] for s in ts.meta["solver"]),
+               "nfev": sum(s["nfev"] for s in ts.meta["solver"]),
+               "linear_deviation": abs(w / linear_rabi_frequency(n, p0) - 1.0)}
+              for (n, _, w), ts in zip(fit.points, fit.traces)]
+    return files, {"points": points,
+                   "dropped": [{"n_nuclei": n, "reason": why} for n, why in fit.failures]}
 
 
 def _run_lindblad11(cfg, out, prefix, map_fn):
@@ -475,8 +481,8 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
     labels = ["p_" + "".join(str(v) for v in s) for s in BASIS]
     pops = [population_series(ts, i) for i in range(DIM)]
     purity = np.einsum("tij,tji->t", ts.values, ts.values).real
-    rows = list(zip(ts.times, *pops, purity))
-    files = [write_csv(out / f"{prefix}.csv", ("t", *labels, "purity"), rows)]
+    files = [write_csv(out / f"{prefix}.csv", ("t", *labels, "purity"),
+                       (ts.times, *pops, purity))]
 
     if cfg["dump_operators"]:
         h_start = build_hamiltonian_operators(p, 0.0, collective_coupling=collective)
@@ -520,10 +526,8 @@ def _run_superradiance(cfg, out, prefix, map_fn):
 
     files = []
     for n, ts in zip(ns, runs):
-        rows = list(zip(ts.times, ts.column("intensity"), ts.column("g1"),
-                        ts.column("jz")))
-        files.append(write_csv(out / f"{prefix}_n{n}.csv",
-                               ("t", "intensity", "g1", "jz"), rows))
+        files.append(write_csv(out / f"{prefix}_n{n}.csv", ("t", "intensity", "g1", "jz"),
+                               [ts.times, *map(ts.column, ("intensity", "g1", "jz"))]))
         seg_t, seg_i = post_pump_segment(ts)
         peak = int(np.argmax(seg_i))
         files.append(write_json(out / f"{prefix}_n{n}.json", {
@@ -562,7 +566,7 @@ def _run_lifetime(cfg, out, prefix, map_fn):
                              n_samples=tol["n_samples"], rtol=tol["rtol"],
                              atol=tol["atol"], map_fn=map_fn)
     files = [write_csv(out / f"{prefix}.csv", ("kappa", "tau_eff"),
-                       list(scan.points))]
+                       list(zip(*scan.points)))]
     files.append(write_json(out / f"{prefix}_fit.json", {
         "slope": scan.slope,
         "intercept": scan.intercept,
@@ -585,7 +589,7 @@ def _run_sweep(cfg, out, prefix, map_fn):
                               min_samples=cfg["sampling"]["n_samples"],
                               map_fn=map_fn)
         files = [write_csv(out / f"{prefix}.csv", ("k", "gamma_lz", "tau_jump"),
-                           list(scan.points))]
+                           list(zip(*scan.points)))]
         files.append(write_json(out / f"{prefix}_fit.json", {
             "slope": scan.slope,
             "r2": scan.r_squared,
@@ -603,11 +607,10 @@ def _run_sweep(cfg, out, prefix, map_fn):
     p_photon = np.abs(ts.column("c_photon")) ** 2
     p_nuclear = np.abs(ts.column("c_nuclear")) ** 2
     p_up, p_lp = polariton_populations(ts)
-    rows = list(zip(ts.times, proto.delta(ts.times), p_photon, p_nuclear,
-                    p_up, p_lp))
     files = [write_csv(out / f"{prefix}.csv",
                        ("t", "delta", "p_photon", "p_nuclear", "p_up", "p_lp"),
-                       rows)]
+                       (ts.times, proto.delta(ts.times), p_photon, p_nuclear,
+                        p_up, p_lp))]
     try:
         tau = jump_time(ts.times, p_up)
     except NoJumpError:
@@ -641,11 +644,13 @@ def _run_phase_diagram(cfg, out, prefix, map_fn):
                   (grid["sqrt_n"]["min"], grid["sqrt_n"]["max"],
                    grid["sqrt_n"]["n"]),
                   snap_integer_n=cfg["snap_integer_n"])
-    rows = [(pt.kappa_vuv, pt.sqrt_n, pt.regime, pt.margin_strong,
-             pt.margin_cooperativity) for pt in scan.points]
+    kappa, sqrt_n, margin_sc, margin_coop = np.array(
+        [(pt.kappa_vuv, pt.sqrt_n, pt.margin_strong, pt.margin_cooperativity)
+         for pt in scan.points]).T
     files = [write_csv(out / f"{prefix}.csv",
                        ("kappa", "sqrt_n", "regime", "margin_sc", "margin_coop"),
-                       rows)]
+                       (kappa, sqrt_n, [pt.regime for pt in scan.points],
+                        margin_sc, margin_coop))]
     files.append(write_json(out / f"{prefix}_boundaries.json", {
         "strong": [[s, k] for s, k in scan.boundary_strong if k is not None],
         "cooperativity": [[s, k] for s, k in scan.boundary_cooperativity

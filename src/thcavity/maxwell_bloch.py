@@ -35,6 +35,7 @@ __all__ = [
     "dominant_angular_frequency",
     "extract_rabi_frequency",
     "rabi_kick",
+    "linear_rabi_frequency",
     "RabiFit",
     "rabi_scaling_fit",
 ]
@@ -279,14 +280,21 @@ class RabiFit:
     failures: tuple  # (n, reason) pairs, one per dropped N
 
 
+def linear_rabi_frequency(n, p: ModelParams) -> float:
+    """sqrt(N g^2 - ((kappa - gamma)/4)^2), the damped linear-regime Rabi
+    frequency of N nuclei; 0 when the oscillation is overdamped."""
+    omega2 = n * p.g**2 - ((p.kappa_vuv - p.gamma_minus) / 4.0) ** 2
+    return math.sqrt(max(omega2, 0.0))
+
+
 def _rabi_scan_point(n, p, drive, n_periods, target_alpha, n_samples, rtol, atol):
     # one scan point; returns (n, omega or None, failure message or None, trace)
     pn = replace(p, n_nuclei=n)
     kick = drive if drive is not None else rabi_kick(pn, target_alpha=target_alpha)
-    omega2 = n * p.g**2 - ((p.kappa_vuv - p.gamma_minus) / 4.0) ** 2
-    if omega2 <= 0:
+    omega_lin = linear_rabi_frequency(n, p)
+    if omega_lin <= 0:
         return (n, None, "overdamped (negative oscillation frequency squared)", None)
-    period = 2.0 * math.pi / math.sqrt(omega2)
+    period = 2.0 * math.pi / omega_lin
     t_end = kick.center + n_periods * period
     trace = integrate_mbe(pn, kick, (0.0, t_end),
                           n_samples=n_samples, rtol=rtol, atol=atol)

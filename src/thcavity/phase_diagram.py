@@ -119,6 +119,9 @@ def grid_scan(
         raise ValueError(f"bad kappa_range {kappa_range}")
     if not (s_lo >= 0 and s_hi > s_lo and ns >= 2):
         raise ValueError(f"bad sqrt_n_range {sqrt_n_range}")
+    if snap_integer_n and not math.isfinite(s_hi * s_hi):
+        raise ValueError(f"bad sqrt_n_range {sqrt_n_range}: N = sqrt_n^2 overflows, "
+                         "so it cannot be snapped to an integer")
 
     kappas = np.geomspace(k_lo, k_hi, int(nk))
     sqrt_ns = np.linspace(s_lo, s_hi, int(ns))

@@ -388,19 +388,23 @@ def test_negative_rate_is_a_config_error(tmp_path, capsys, command, text, old, n
 
 # g^2 / gamma_minus scales the cooperativity margin of every grid point: when
 # it overflows alone, the model field is named, and no numpy warning leaks
-@pytest.mark.parametrize("old, new, path", [
-    ("gamma_minus: 0.1", "gamma_minus: 1.0e-320", "model.gamma_minus"),
-    ("g: 1.0", "g: 1.0e+200", "model.g"),
-    ("max: 8.0", "max: 1.0e+200", "grid"),
-], ids=["gamma-minus", "g", "grid"])
+@pytest.mark.parametrize("old, new, cause", [
+    ("gamma_minus: 0.1", "gamma_minus: 1.0e-320", "model.gamma_minus:"),
+    ("g: 1.0", "g: 1.0e+200", "model.g:"),
+    ("max: 8.0", "max: 1.0e+200", "grid:"),
+    # snapping rounds sqrt_n^2 to an integer, which an overflowed square has not
+    ("max: 8.0\n    n: 6\n", "max: 1.0e+200\n    n: 6\nsnap_integer_n: true\n",
+     "grid: bad sqrt_n_range"),
+], ids=["gamma-minus", "g", "grid", "grid-snapped"])
 def test_phase_diagram_overflow_names_its_cause_without_a_warning(tmp_path, capsys,
-                                                                  old, new, path):
+                                                                  old, new, cause):
+    assert old in PHASE_YAML
     cfg = write(tmp_path, PHASE_YAML.replace(old, new))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["phase-diagram", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}:")
+    assert err.startswith(f"config error: {cause}")
     assert "Warning" not in err
 
 
@@ -503,7 +507,14 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
     assert all(set(r) == {"k", *sweep_keys} for r in runs)
     assert all(r["doubling_error"] < 1e-9 and 0.0 <= r["max_norm_drift"] < 1e-12 for r in runs)
 
-    assert _diagnostics(tmp_path, RABI_YAML) == {"dropped": []}
+    rabi = _diagnostics(tmp_path, RABI_YAML)
+    assert rabi["dropped"] == []
+    assert [pt["n_nuclei"] for pt in rabi["points"]] == [16, 25, 36, 49]
+    for pt in rabi["points"]:
+        assert set(pt) == {"n_nuclei", "steps", "nfev", "linear_deviation"}
+        assert 12 * pt["steps"] <= pt["nfev"] and pt["steps"] > 0
+        # a kick this small keeps every point in the damped linear regime
+        assert 0.0 <= pt["linear_deviation"] < 1e-5
 
     health = _diagnostics(tmp_path, LINDBLAD_YAML)
     assert set(health) == {"trace_drift", "min_eigenvalue", "steps", "nfev"}

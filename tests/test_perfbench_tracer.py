@@ -35,11 +35,11 @@ def test_traced_solve_and_write_pass_through_and_are_tallied(monkeypatch, tmp_pa
 
     args = (rhs, (0.0, 1.0), np.array([1.0, 0.5]), np.linspace(0.0, 1.0, 6))
     ref = solve_sampled(*args, observe=observe)
-    rows = [(0.5, "a"), (2, "b")]
+    columns = [(0.5, 2), ("a", "b")]
     t = tracer.Tracer()
     with t.installed():
         got = tracer.maxwell_bloch.solve_sampled(*args, observe=observe)
-        path = tracer.cli.write_csv(tmp_path / "t.csv", ("x", "y"), rows)
+        path = tracer.cli.write_csv(tmp_path / "t.csv", ("x", "y"), columns)
 
     values, y_end, stats = got
     assert all(np.array_equal(a, b) for a, b in zip(values, ref[0]))
