@@ -9,6 +9,14 @@ its whole step, so the samples inside one accepted step come from one
 dense-output evaluation (ibid., sec. II.6); the per-step statistics come back
 with the values.  propagate_sampled steps a constant linear generator
 exactly on a uniform grid.
+
+scipy is imported by the first call of each function, not with the module.
+scipy.integrate also loads scipy.special, scipy.optimize and scipy.sparse;
+with scipy.linalg that was about 0.48 s of the 0.68 s a fresh
+`import thcavity.cli` took (2 cores, scipy 1.17.1).  So only a run that
+steps a solver (DOP853) or a propagator (expm) pays for them, and the
+closed-form experiments (coupling, spectrum, phase-diagram, sweep) load no
+scipy at all.
 """
 
 from __future__ import annotations
@@ -17,8 +25,6 @@ import math
 from time import perf_counter
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.linalg import expm
 
 __all__ = ["IntegrationFailure", "propagate_sampled", "solve_sampled"]
 
@@ -59,6 +65,8 @@ def solve_sampled(
     not counted.  A non-finite derivative at t_span[0], or a step that leaves
     a non-finite time or state, raises IntegrationFailure.
     """
+    from scipy.integrate import DOP853
+
     start = perf_counter()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -141,6 +149,8 @@ def propagate_sampled(generator: np.ndarray, x0: np.ndarray, t0: float,
     calls in place of one matrix-vector product each.  Returns an array
     (n_samples, x0.size); a non-finite sample raises IntegrationFailure.
     """
+    from scipy.linalg import expm
+
     samples = np.asarray(sample_times, dtype=float)
     n = samples.size
     x = np.asarray(x0)

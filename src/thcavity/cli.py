@@ -22,7 +22,6 @@ import re
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -695,6 +694,10 @@ def _load_config(path):
 
 @contextmanager
 def _pool_map(jobs):
+    # imported here: concurrent.futures.process loads multiprocessing, which a
+    # serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield pool.map
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import bdtrc
 
 from ._fit import fit_line, fit_loglog
 from ._integrate import propagate_sampled, solve_sampled
@@ -205,9 +204,20 @@ def ladder_cut(n_nuclei: int, fraction: float) -> int:
     binomial(N, f) (Arecchi et al. 1972), and decay only lowers them, so levels
     above the smallest K with P(X > K) < 1e-18, plus a margin of 10, stay
     empty to roundoff.  Capped at N.
+
+    The tail is summed from the top: P(X = j) = exp(log C(N, j) + j log f +
+    (N - j) log(1 - f)) with log C(N, j) from math.lgamma, and P(X > k) is
+    the reversed cumulative sum over j > k.  The (N - j) log(1 - f) term is 0
+    at j = N, also at f = 1 where log(1 - f) = -inf.
     """
-    tails = bdtrc(np.arange(n_nuclei + 1), n_nuclei, fraction)   # P(X > k); 0 at k = N
-    return min(int(np.argmax(tails < _TAIL_TOL)) + _CUT_MARGIN, n_nuclei)
+    n = n_nuclei
+    j = np.arange(1, n + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])   # log k!
+    with np.errstate(divide="ignore", invalid="ignore"):   # log 0 at f = 0 or 1
+        log_pmf = (log_fact[n] - log_fact[1:] - log_fact[n - 1::-1] + j * np.log(fraction)
+                   + np.where(j < n, (n - j) * np.log1p(-fraction), 0.0))
+    tails = np.append(np.cumsum(np.exp(log_pmf[::-1]))[::-1], 0.0)   # P(X > k), k = 0..N
+    return min(int(np.argmax(tails < _TAIL_TOL)) + _CUT_MARGIN, n)
 
 
 def _pumped_rhs(model: EffectiveModel, cdn: np.ndarray):
@@ -274,7 +284,9 @@ def simulate_superradiance(
     1e-14 the pump is rerun on the full ladder.  The free decay steps the
     populations and the first off-diagonal of R exactly on the sample grid,
     which needs n_samples >= 2.  meta records ladder_cut, top_population
-    (level K's population at the end of the pump) and solver, the
+    (level K's population at the end of the pump), the health of R at that
+    point, pump_trace_drift = |Tr R - 1| and pump_min_eigenvalue (the
+    smallest eigenvalue of R, which rho shares), and solver, the
     solve_sampled stats of each pump run (empty without a pump).
 
     Only the pump carries a tolerance error.  On figS1 (N = 50..500, f = 0.1)
@@ -327,6 +339,9 @@ def simulate_superradiance(
         k_cut = n
         head, r_free = pump(k_cut)
     top = float(r_free[k_cut, k_cut])
+    # rho = S R S* with S = diag(i^k) is unitarily similar to R: same trace, same spectrum
+    trace_drift = float(abs(np.trace(r_free) - 1.0))
+    min_eigenvalue = float(np.linalg.eigvalsh(r_free)[0])
 
     cdn = cdn[:k_cut + 1]
     a_pop, a_coh = _decay_generators(cdn, gamma)
@@ -346,17 +361,21 @@ def simulate_superradiance(
         columns=SUPERRADIANCE_COLUMNS,
         meta={"n_nuclei": n, "gamma_eff": gamma, "t_off": t_off,
               "model": model, "rtol": rtol, "atol": atol,
-              "ladder_cut": k_cut, "top_population": top, "solver": solver},
+              "ladder_cut": k_cut, "top_population": top,
+              "pump_trace_drift": trace_drift, "pump_min_eigenvalue": min_eigenvalue,
+              "solver": solver},
     )
 
 
 def burst_diagnostics(ts: TimeSeries) -> dict:
-    """Ladder truncation, bad-cavity health and pump work of a
-    simulate_superradiance run: pump_steps and pump_nfev sum over its pump
-    segments, a rerun on the full ladder included (0 without a pump)."""
+    """Ladder truncation, bad-cavity and density-matrix health and pump work
+    of a simulate_superradiance run: pump_steps and pump_nfev sum over its
+    pump segments, a rerun on the full ladder included (0 without a pump)."""
     solver = ts.meta["solver"]
     return {"n_nuclei": ts.meta["n_nuclei"], "ladder_cut": ts.meta["ladder_cut"],
             "top_population": ts.meta["top_population"],
+            "pump_trace_drift": ts.meta["pump_trace_drift"],
+            "pump_min_eigenvalue": ts.meta["pump_min_eigenvalue"],
             "bad_cavity_ratio": ts.meta["model"].bad_cavity_ratio,
             "pump_steps": sum(s["steps"] for s in solver),
             "pump_nfev": sum(s["nfev"] for s in solver)}

@@ -487,6 +487,8 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
     for r in runs:
         assert r["ladder_cut"] == r["n_nuclei"]
         assert 0.0 <= r["top_population"] < 1e-3
+        assert 0.0 <= r["pump_trace_drift"] < 1e-14
+        assert -1e-8 < r["pump_min_eigenvalue"] <= 0.0
         assert r["bad_cavity_ratio"] == pytest.approx(2.0e5 / (106.8 * math.sqrt(r["n_nuclei"])))
         # DOP853 spends 12 RHS calls on each step
         assert 12 * r["pump_steps"] <= r["pump_nfev"] and r["pump_steps"] > 0
@@ -495,6 +497,7 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
     assert [r["kappa_vuv"] for r in runs] == [1.0e5, 2.0e5, 4.0e5]
     assert {r["ladder_cut"] for r in runs} == {6}
     assert all(12 * r["pump_steps"] <= r["pump_nfev"] and r["pump_steps"] > 0 for r in runs)
+    assert all(r["pump_trace_drift"] < 1e-14 and r["pump_min_eigenvalue"] > -1e-8 for r in runs)
 
     sweep_keys = {"substeps", "doubling_error", "max_norm_drift"}
     single = _diagnostics(tmp_path, SWEEP_YAML)
@@ -528,6 +531,81 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
     assert 0.0 <= pumped["trace_drift"] < 1e-9
 
     assert _diagnostics(tmp_path, SPECTRUM_YAML) == {}
+
+
+@pytest.mark.parametrize("name", list(MINIMAL_CONFIGS))
+def test_every_run_explains_itself(tmp_path, name):
+    """Each run that steps a solver or a propagator writes non-empty
+    diagnostics, each scan entry included; a closed form writes none.  A
+    rerun of the same config gives the same manifest up to duration_seconds."""
+    diagnostics = _diagnostics(tmp_path, MINIMAL_CONFIGS[name])
+    if name in ("coupling", "spectrum", "phase-diagram"):
+        assert diagnostics == {}
+        return
+    assert diagnostics
+    for key, entries in diagnostics.items():
+        # rabi's `dropped` is empty when no N is overdamped
+        if isinstance(entries, list) and key != "dropped":
+            assert entries and all(entries)
+
+
+# runs main(argv) in a fresh interpreter, then prints the modules it loaded
+_PROBE = """\
+import json, sys
+from thcavity.cli import main
+argv = json.loads(sys.argv[1])
+code = None if argv is None else main(argv)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+# what a run that steps nothing must not load
+_HEAVY = {"scipy.integrate", "scipy.special", "scipy.linalg", "scipy.optimize",
+          "concurrent.futures.process"}
+
+
+def _loaded_modules(tmp_path, argv):
+    env = dict(os.environ)
+    src = str(Path(thcavity.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path,
+                         timeout=120)
+    probe = json.loads(res.stdout.splitlines()[-1])
+    return probe["code"], set(probe["modules"])
+
+
+def _run_argv(tmp_path, name):
+    text = MINIMAL_CONFIGS[name]
+    experiment = yaml.safe_load(text)["experiment"]
+    return [experiment, "--config", write(tmp_path, text), "--out", str(tmp_path / "o"),
+            "--jobs", "1"]
+
+
+@pytest.mark.parametrize("case", ["import", "list", "config-error"])
+def test_startup_loads_no_solver(tmp_path, case):
+    """Importing the CLI, listing the experiments and rejecting a config load
+    neither scipy's solvers nor the process pool."""
+    bad = write(tmp_path, SUPERRADIANCE_YAML.replace("n_samples: 200", "n_samples: 1"))
+    argv = {"import": None, "list": ["list"],
+            "config-error": ["superradiance", "--config", bad, "--out", str(tmp_path / "o")]}[case]
+    code, modules = _loaded_modules(tmp_path, argv)
+    assert code == {"import": None, "list": 0, "config-error": 2}[case]
+    assert not modules & _HEAVY
+
+
+@pytest.mark.parametrize("name", ["coupling", "spectrum", "phase-diagram", "sweep", "sweep-scan"])
+def test_closed_form_runs_load_no_scipy(tmp_path, name):
+    code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, name))
+    assert code == 0
+    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+    assert "concurrent.futures.process" not in modules
+
+
+def test_static_master_equation_loads_scipy_linalg_only(tmp_path):
+    code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, "lindblad11"))
+    assert code == 0
+    assert "scipy.linalg" in modules
+    assert not modules & {"scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse"}
 
 
 def test_overflowing_master_equation_exits_1_without_artifacts(tmp_path, capsys):

@@ -1,15 +1,19 @@
 """Dicke-ladder collective emission engine and its pump calibration."""
 
 import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import bdtrc
 
 from thcavity import superradiance
 from thcavity._integrate import solve_sampled
+from thcavity.cli import _SCHEMAS, _apply, _load_config
 from thcavity.lindblad import integrate_master
 from thcavity.maxwell_bloch import OFF
 from thcavity.params import ModelParams, TimeSeries
@@ -34,6 +38,7 @@ from thcavity.superradiance import (
 )
 
 GAMMA_ISOMER = 1.0 / 1740.0
+REPO = Path(__file__).resolve().parents[1]
 
 
 def bad_cavity_params(n, **kw):
@@ -219,6 +224,65 @@ def test_ladder_cut(n, fraction, k):
     assert ladder_cut(n, fraction) == k
 
 
+def bdtrc_ladder_cut(n, fraction):
+    """Oracle: the cut from scipy's binomial upper tail P(X > k)."""
+    tails = bdtrc(np.arange(n + 1), n, fraction)
+    return min(int(np.argmax(tails < superradiance._TAIL_TOL)) + superradiance._CUT_MARGIN, n)
+
+
+def _burst_points(cfg):
+    """(N, f) of every simulate_superradiance run of a superradiance or
+    lifetime config, f = pump_fraction of the model the runner builds."""
+    m, pump = cfg["model"], cfg["pump"]
+    if cfg["experiment"] == "superradiance":
+        runs = [(n, m["kappa_vuv"]) for n in cfg["runs"]["n_nuclei"]]
+    else:
+        runs = [(m["n_nuclei"], k) for k in cfg["scan"]["kappa_vuv"]]
+    for n, kappa in runs:
+        p = ModelParams(g=m["g"], kappa_vuv=kappa, gamma_minus=m["gamma_minus"],
+                        fwm_u=m["fwm_u"], n_nuclei=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the bad-cavity check
+            model = pumped_effective_model(p, sigma=pump["sigma"], fraction=pump["fraction"])
+        yield n, pump_fraction(model)
+
+
+def test_ladder_cut_is_the_bdtrc_cut_on_every_bundled_and_benchmark_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    configs = [_apply(_SCHEMAS[raw["experiment"]], raw, "")
+               for raw in map(_load_config, sorted((REPO / "scripts" / "configs").glob("*.yaml")))]
+    configs += [item.config for workload in workloads.WORKLOADS
+                for seed in [*range(1, 11), 9173] for item in workloads.plan(workload, seed)]
+    points = {pt for cfg in configs if cfg["experiment"] in ("superradiance", "lifetime")
+              for pt in _burst_points(cfg)}
+    # figS1, figS2, the workloads' bursts and lifetime scans, all near f = 0.1
+    assert {4, 8, 16, 30, 50, 60, 100, 120, 500} <= {n for n, _ in points}
+    assert all(abs(f - 0.1) < 1e-12 for _, f in points)
+    for n, f in points:
+        assert ladder_cut(n, f) == bdtrc_ladder_cut(n, f), (n, f)
+
+
+@given(st.integers(1, 1000), st.floats(0.0, 1.0))
+def test_ladder_cut_is_the_bdtrc_cut(n, fraction):
+    assert ladder_cut(n, fraction) == bdtrc_ladder_cut(n, fraction)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 11, 500])
+@pytest.mark.parametrize("fraction", [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 1.0])
+def test_ladder_cut_edges_are_the_bdtrc_cut(n, fraction):
+    """log 0 at f = 0 or 1 must not turn the tail into NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = ladder_cut(n, fraction)
+    assert k == bdtrc_ladder_cut(n, fraction)
+    if fraction < 1e-299:      # the tail is below 1e-18 from k = 0: only the margin stays
+        assert k == min(10, n)
+    if fraction > 0.9:         # every level is occupied
+        assert k == n
+
+
 def test_pump_fraction_is_the_peak_excitation():
     model = pumped_effective_model(bad_cavity_params(10), sigma=1e-4, fraction=0.1)
     assert pump_fraction(model) == pytest.approx(0.1, rel=1e-12)
@@ -290,6 +354,35 @@ def test_too_few_samples_is_an_error():
 def _random_symmetric(rng, dim):
     a = rng.normal(size=(dim, dim))
     return a + a.T
+
+
+def test_pump_health_is_the_trace_and_spectrum_of_rho():
+    """rho = S R S*, S = diag(i^k), shares R's trace and spectrum, so the
+    health of the pumped state needs only eigvalsh of the real R.  Its
+    smallest eigenvalue is the pump's tolerance error: it falls to roundoff
+    as the tolerances tighten."""
+    rng = np.random.default_rng(3)
+    r = _random_symmetric(rng, 9)
+    k = np.arange(9)
+    rho = 1j ** (k[None, :] - k[:, None]) * r
+    np.testing.assert_allclose(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(r), atol=1e-12)
+
+    dark = simulate_superradiance(EffectiveModel(drive_coupling=1.0, gamma_eff=0.5, pump=OFF),
+                                  DickeSpace(6), (0.0, 2.0), n_samples=50)
+    assert dark.meta["pump_trace_drift"] == dark.meta["pump_min_eigenvalue"] == 0.0
+
+    n = 40
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    loose, tight = (simulate_superradiance(model, DickeSpace(n), n_samples=300,
+                                           rtol=rtol, atol=atol)
+                    for rtol, atol in ((1e-7, 1e-9), (1e-11, 1e-16)))
+    for ts in (loose, tight):
+        assert 0.0 <= ts.meta["pump_trace_drift"] < 1e-14
+        diag = burst_diagnostics(ts)
+        assert diag["pump_trace_drift"] == ts.meta["pump_trace_drift"]
+        assert diag["pump_min_eigenvalue"] == ts.meta["pump_min_eigenvalue"]
+    assert -1e-6 < loose.meta["pump_min_eigenvalue"] < -1e-9
+    assert -1e-12 < tight.meta["pump_min_eigenvalue"] <= 1e-15
 
 
 def _ladder(n, data):
