@@ -1,32 +1,39 @@
-"""Thin integration layer shared by the dynamics modules.
+"""Integration layer shared by the dynamics modules.
 
-solve_sampled wraps scipy's DOP853, the one adaptive stepper of the package
-(the embedded Runge-Kutta pair of order 8(5,3); Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.5), adding sampling through the dense output and an
-optional observable callback so that large states (density matrices) never
-need to be stored per sample.  A Runge-Kutta interpolant is a polynomial over
-its whole step, so the samples inside one accepted step come from one
-dense-output evaluation (ibid., sec. II.6); the per-step statistics come back
-with the values.  propagate_sampled steps a constant linear generator
-exactly on a uniform grid.
+solve_sampled steps DOP853, the one adaptive stepper of the package (the
+embedded Runge-Kutta pair of order 8(5,3); Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.5), adding sampling through the dense output and an optional
+observable callback so that large states (density matrices) never need to be
+stored per sample.  A Runge-Kutta interpolant is a polynomial over its whole
+step, so the samples inside one accepted step come from one dense-output
+evaluation (ibid., sec. II.6); the per-step statistics come back with the
+values.  propagate_sampled steps a constant linear generator exactly on a
+uniform grid.
 
-scipy is imported by the first call of each function, not with the module.
-scipy.integrate also loads scipy.special, scipy.optimize and scipy.sparse;
-with scipy.linalg that was about 0.48 s of the 0.68 s a fresh
-`import thcavity.cli` took (2 cores, scipy 1.17.1).  So only a run that
-steps a solver (DOP853) or a propagator (expm) pays for them, and the
-closed-form experiments (coupling, spectrum, phase-diagram, sweep) load no
-scipy at all.
+DOP853 is stepped in the package, by _dop853.  Its tableau is the one scipy
+1.17 ships (scipy/integrate/_ivp/dop853_coefficients.py, BSD-3-Clause; the
+license is kept in that module), and each step repeats the arithmetic of
+scipy's DOP853 class, so steps, RHS calls and samples are scipy's to the bit;
+the tests hold it to scipy's class as the oracle.  The reason is the import:
+scipy.integrate brings scipy.special, scipy.optimize and scipy.sparse with
+it, which cost a fresh process 0.33 s and 23.7 MB resident on top of
+scipy.linalg (2 cores, scipy 1.17.1), for one class.  Now only
+propagate_sampled imports scipy, scipy.linalg for expm, on its first call, and
+_dop853 is compiled on solve_sampled's first call, so `import thcavity.cli`
+loads neither; rabi and a pumped lindblad11 run load no scipy at all.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from time import perf_counter
 
 import numpy as np
 
 __all__ = ["IntegrationFailure", "propagate_sampled", "solve_sampled"]
+
+_EPS = np.finfo(float).eps
 
 
 class IntegrationFailure(RuntimeError):
@@ -51,7 +58,8 @@ def solve_sampled(
     atol: float = 1e-10,
     max_step: float = np.inf,
 ):
-    """Integrate y' = rhs(t, y); return (values at sample_times, y_end, stats).
+    """Integrate y' = rhs(t, y) with DOP853; return (values at sample_times,
+    y_end, stats).
 
     sample_times must be non-decreasing (repeats allowed) and lie inside
     t_span.  After each accepted step the samples it covers are read from its
@@ -60,12 +68,18 @@ def solve_sampled(
     is called per sample and its outputs are stacked, keeping memory
     independent of the state dimension.  y_end is the dense output at
     t_span[1], the state a following segment starts from.  stats is a dict of
-    this segment's accepted `steps`, scipy's RHS call count `nfev` and
-    `wall_s`; scipy's OdeSolver does not expose rejected steps, so they are
-    not counted.  A non-finite derivative at t_span[0], or a step that leaves
-    a non-finite time or state, raises IntegrationFailure.
+    this segment's accepted `steps`, its RHS call count `nfev` (the probe of
+    the first step size and the three extra stages of each interpolant
+    included) and `wall_s`.
+
+    y0 must be a finite non-empty 1-d array; a complex y0 integrates in
+    complex arithmetic, and each RHS value is cast to the state's dtype.
+    max_step must be > 0 and atol >= 0; an rtol below 100 machine epsilons is
+    raised to that, with a warning.  A non-finite derivative at t_span[0], a
+    step size below 10 float spacings, or a step that leaves a non-finite
+    time or state raises IntegrationFailure.
     """
-    from scipy.integrate import DOP853
+    from . import _dop853 as rk   # compiled on the first call, not with the package
 
     start = perf_counter()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -78,12 +92,35 @@ def solve_sampled(
     if samples.size and not (samples[0] >= t0 - 1e-12 * abs(t0)
                              and samples[-1] <= t1 + 1e-12 * abs(t1)):
         raise ValueError("sample_times must lie within t_span")
-
     y0 = np.asarray(y0)
-    solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
-    if not np.isfinite(solver.f).all():
-        # a non-finite derivative makes scipy's step size nan, and step() never returns
+    dtype = complex if np.iscomplexobj(y0) else float
+    y0 = y0.astype(dtype, copy=False)
+    if y0.ndim != 1 or not y0.size:
+        raise ValueError(f"y0 must be a non-empty 1-d array, got shape {y0.shape}")
+    if not np.isfinite(y0).all():
+        raise ValueError("y0 must be finite")
+    if not max_step > 0:
+        raise ValueError(f"max_step must be > 0, got {max_step}")
+    if not atol >= 0:
+        raise ValueError(f"atol must be >= 0, got {atol}")
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rtol={rtol} is below 100 machine epsilons; using {100 * _EPS}",
+                      stacklevel=2)
+        rtol = np.maximum(rtol, 100 * _EPS)
+
+    nfev = 0
+
+    def fun(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(t, y), dtype=dtype)
+
+    f = fun(t0, y0)
+    if not np.isfinite(f).all():
+        # the step size would be nan, and no step would ever be accepted
         raise IntegrationFailure(f"non-finite derivative at t={t0:.6g}", t=t0)
+    h_abs = rk.initial_step(fun, t0, y0, f, t1, max_step, rtol, atol)
+    K = np.empty((rk.N_STAGES_EXTENDED, y0.size), dtype=dtype)
 
     out = []
 
@@ -99,31 +136,34 @@ def solve_sampled(
     if i:
         take(np.full(i, t0), np.repeat(y0[None], i, axis=0))
 
+    t, y = t0, y0
     steps = 0
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
+    while t < t1:
+        accepted = rk.step(fun, t, y, f, h_abs, t1, max_step, rtol, atol, K)
+        if accepted is None:
             raise IntegrationFailure(
-                f"integration failed at t={solver.t:.6g}: {msg or 'step size underflow'}; "
-                "try a shorter t_span or looser tolerances",
-                t=solver.t,
+                f"integration failed at t={t:.6g}: Required step size is less than "
+                "spacing between numbers.; try a shorter t_span or looser tolerances",
+                t=t,
             )
-        if not (math.isfinite(solver.t) and np.isfinite(solver.y).all()):
-            raise IntegrationFailure(f"non-finite state at t={solver.t:.6g}", t=solver.t)
+        t_old, y_old = t, y
+        t, y, f, h_abs = accepted
+        if not (math.isfinite(t) and np.isfinite(y).all()):
+            raise IntegrationFailure(f"non-finite state at t={t:.6g}", t=t)
         steps += 1
         dense = None
-        j = int(np.searchsorted(samples, solver.t, side="right"))
+        j = int(np.searchsorted(samples, t, side="right"))
         if j > i:
             # every sample of the step from one evaluation of its interpolant
-            dense = solver.dense_output()
-            take(samples[i:j], np.ascontiguousarray(dense(samples[i:j]).T))
+            dense = rk.dense_output(fun, K, t_old, y_old, t, y, f)
+            take(samples[i:j], dense(samples[i:j]))
             i = j
     # the last step's interpolant, reused if a sample already built it
-    y_end = (dense or solver.dense_output())(t1)
+    y_end = (dense or rk.dense_output(fun, K, t_old, y_old, t, y, f))(np.array([t1]))[0]
 
     # samples at exactly t1 can be left over through float comparison slop
     if i < samples.size:
-        take(samples[i:], np.repeat(solver.y[None], samples.size - i, axis=0))
+        take(samples[i:], np.repeat(y[None], samples.size - i, axis=0))
 
     if observe is None:
         values = np.concatenate(out) if out else np.empty(0)
@@ -132,7 +172,7 @@ def solve_sampled(
         values = [np.asarray(comp) for comp in zip(*out)]
     else:
         values = np.asarray(out)
-    stats = {"steps": steps, "nfev": solver.nfev, "wall_s": perf_counter() - start}
+    stats = {"steps": steps, "nfev": nfev, "wall_s": perf_counter() - start}
     return values, y_end, stats
 
 

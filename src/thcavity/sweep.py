@@ -276,14 +276,17 @@ def jump_time(times: np.ndarray, p_up: np.ndarray, *,
 
     lo = early + 0.1 * jump
     hi = early + 0.9 * jump
+    sign = 1.0 if jump > 0 else -1.0
 
     def first_crossing(level, start):
-        sign = 1.0 if jump > 0 else -1.0
-        for i in range(start, len(t) - 1):
-            if sign * (y[i] - level) < 0.0 <= sign * (y[i + 1] - level):
-                frac = (level - y[i]) / (y[i + 1] - y[i])
-                return i, t[i] + frac * (t[i + 1] - t[i])
-        return None, None
+        # first i >= start with y[i] short of level and y[i + 1] at or past it
+        d = sign * (y[start:] - level)
+        hits = np.flatnonzero((d[:-1] < 0.0) & (0.0 <= d[1:]))
+        if not hits.size:
+            return None, None
+        i = start + int(hits[0])
+        frac = (level - y[i]) / (y[i + 1] - y[i])
+        return i, t[i] + frac * (t[i + 1] - t[i])
 
     i10, t10 = first_crossing(lo, 0)
     if t10 is None:

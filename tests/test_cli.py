@@ -95,6 +95,10 @@ options:
 dump_operators: true
 """
 
+# the same run under a Gaussian pump: stepped by DOP853, not exactly
+PUMPED_LINDBLAD_YAML = LINDBLAD_YAML.replace(
+    "fwm_u: 2.0", "fwm_u: 2.0\n  pump_amp: 3.0\n  pump_center: 0.2\n  pump_width: 0.05")
+
 COUPLING_YAML = """\
 experiment: coupling
 unit: Hz
@@ -525,8 +529,7 @@ def test_manifest_carries_the_run_diagnostics(tmp_path):
     assert -1e-12 < health["min_eigenvalue"] <= 0.0
     assert health["steps"] == health["nfev"] == 0    # the static run is exact
 
-    pumped = _diagnostics(tmp_path, LINDBLAD_YAML.replace(
-        "fwm_u: 2.0", "fwm_u: 2.0\n  pump_amp: 3.0\n  pump_center: 0.2\n  pump_width: 0.05"))
+    pumped = _diagnostics(tmp_path, PUMPED_LINDBLAD_YAML)
     assert 12 * pumped["steps"] <= pumped["nfev"] and pumped["steps"] > 0
     assert 0.0 <= pumped["trace_drift"] < 1e-9
 
@@ -575,7 +578,7 @@ def _loaded_modules(tmp_path, argv):
 
 
 def _run_argv(tmp_path, name):
-    text = MINIMAL_CONFIGS[name]
+    text = {**MINIMAL_CONFIGS, "lindblad11-pumped": PUMPED_LINDBLAD_YAML}[name]
     experiment = yaml.safe_load(text)["experiment"]
     return [experiment, "--config", write(tmp_path, text), "--out", str(tmp_path / "o"),
             "--jobs", "1"]
@@ -601,8 +604,19 @@ def test_closed_form_runs_load_no_scipy(tmp_path, name):
     assert "concurrent.futures.process" not in modules
 
 
-def test_static_master_equation_loads_scipy_linalg_only(tmp_path):
-    code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, "lindblad11"))
+@pytest.mark.parametrize("name", ["rabi", "lindblad11-pumped"])
+def test_adaptive_runs_load_no_scipy(tmp_path, name):
+    """DOP853 is stepped in the package: a run that only integrates loads no scipy."""
+    code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, name))
+    assert code == 0
+    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+@pytest.mark.parametrize("name", ["lindblad11", "superradiance", "lifetime"])
+def test_exact_propagators_load_scipy_linalg_only(tmp_path, name):
+    """The static master equation and the Dicke decay need expm, and nothing
+    more of scipy; the Dicke pump adds none."""
+    code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, name))
     assert code == 0
     assert "scipy.linalg" in modules
     assert not modules & {"scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse"}

@@ -1,16 +1,36 @@
-"""The shared integration layer: batched sampling against the per-sample loop,
-end state, statistics and non-finite guards of the adaptive solver, and the
-exact stepper for constant generators."""
+"""The shared integration layer: the in-package DOP853 against scipy's, step
+for step; batched sampling against the per-sample loop; end state, statistics,
+argument checks and non-finite guards of the adaptive solver; and the exact
+stepper for constant generators."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
 from scipy.linalg import expm
 
+from thcavity import lindblad, maxwell_bloch, superradiance
 from thcavity._integrate import IntegrationFailure, propagate_sampled, solve_sampled
-from thcavity.superradiance import DickeSpace, _decay_generators
+from thcavity.lindblad import (
+    DensityMatrix,
+    basis_index,
+    build_hamiltonian_operators,
+    integrate_master,
+    mode_operators,
+    project_to_basis,
+    standard_collapse_ops,
+)
+from thcavity.maxwell_bloch import integrate_mbe, rabi_kick
+from thcavity.params import ModelParams
+from thcavity.superradiance import (
+    DickeSpace,
+    _decay_generators,
+    pumped_effective_model,
+    simulate_superradiance,
+)
 
 
 def oscillator(t, y):
@@ -30,10 +50,11 @@ def test_end_state_is_the_recorded_state_at_t_end(t_end, n_samples):
     assert np.array_equal(y_end, states[-1])
 
 
-def per_sample_solve(rhs, t_span, y0, samples, *, observe=None, rtol=1e-8,
-                     atol=1e-10, max_step=np.inf):
-    """The sampler as it was before batching: one scalar dense-output call per
-    sample.  The oracle of solve_sampled's (values, y_end)."""
+def scipy_solve(rhs, t_span, y0, samples, *, observe=None, rtol=1e-8,
+                atol=1e-10, max_step=np.inf):
+    """The sampler as it was before batching, on scipy's DOP853: one scalar
+    dense-output call per sample.  The oracle of solve_sampled; returns
+    (values, y_end, accepted steps, RHS calls)."""
     t0, t1 = t_span
     solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
     out = []
@@ -41,8 +62,11 @@ def per_sample_solve(rhs, t_span, y0, samples, *, observe=None, rtol=1e-8,
     while i < samples.size and samples[i] <= t0:
         out.append(observe(t0, y0) if observe is not None else np.array(y0, copy=True))
         i += 1
+    steps = 0
     while solver.status == "running":
-        solver.step()
+        if solver.step() is not None:
+            raise IntegrationFailure("scipy's DOP853 failed", t=solver.t)
+        steps += 1
         dense = None
         if i < samples.size and samples[i] <= solver.t:
             dense = solver.dense_output()
@@ -56,8 +80,148 @@ def per_sample_solve(rhs, t_span, y0, samples, *, observe=None, rtol=1e-8,
                    else np.array(solver.y, copy=True))
         i += 1
     if observe is not None and out and isinstance(out[0], tuple):
-        return [np.asarray(comp) for comp in zip(*out)], y_end
-    return np.asarray(out), y_end
+        values = [np.asarray(comp) for comp in zip(*out)]
+    else:
+        values = np.asarray(out)
+    return values, y_end, steps, solver.nfev
+
+
+def per_sample_solve(*args, **kwargs):
+    """scipy_solve's (values, y_end)."""
+    return scipy_solve(*args, **kwargs)[:2]
+
+
+def assert_same_run(args, kwargs, result):
+    """solve_sampled's (values, y_end, stats) for args, kwargs is scipy's run
+    to the bit: every value, the end state, the steps and the RHS calls."""
+    values, y_end, stats = result
+    ref, ref_end, steps, nfev = scipy_solve(*args, **kwargs)
+    assert (stats["steps"], stats["nfev"]) == (steps, nfev)
+    assert np.array_equal(y_end, ref_end) and y_end.dtype == ref_end.dtype
+    assert type(values) is type(ref)
+    pairs = zip(values, ref) if isinstance(ref, list) else [(values, ref)]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in pairs)
+
+
+def recorded_solves(monkeypatch, module, run):
+    """run(), recording each (args, kwargs, result) of the solve_sampled calls
+    it makes through module."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = solve_sampled(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, "solve_sampled", recording)
+    run()
+    return calls
+
+
+def test_maxwell_bloch_kick_and_free_segments_are_scipys_run(monkeypatch):
+    p = ModelParams(g=3.0, kappa_vuv=2.0, gamma_minus=0.1, n_nuclei=25)
+    kick = rabi_kick(p)
+    calls = recorded_solves(monkeypatch, maxwell_bloch, lambda: integrate_mbe(
+        p, kick, (0.0, kick.center + 4.0), n_samples=500))
+    assert len(calls) == 2                        # the kick, then the free run
+    assert calls[0][1]["max_step"] == kick.width / 2.0
+    assert "max_step" not in calls[1][1]
+    for args, kwargs, result in calls:
+        assert result[2]["steps"] > 3
+        assert_same_run(args, kwargs, result)
+
+
+def test_dicke_pump_is_scipys_run(monkeypatch):
+    model = pumped_effective_model(
+        ModelParams(g=106.8, kappa_vuv=2.0e5, gamma_minus=1e-4, fwm_u=1000.0, n_nuclei=12),
+        sigma=1e-4, fraction=0.1)
+    calls = recorded_solves(monkeypatch, superradiance, lambda: simulate_superradiance(
+        model, DickeSpace(12), n_samples=300))
+    assert len(calls) == 1
+    (rhs, *_), kwargs, result = calls[0]
+    assert rhs.__qualname__.endswith("rhs_pumped")
+    assert kwargs["observe"].__name__ == "diagonals"
+    assert result[2]["steps"] > 3 and len(result[0]) == 2
+    assert_same_run(calls[0][0], kwargs, result)
+
+
+def test_pumped_master_equation_is_scipys_run(monkeypatch):
+    p = ModelParams(g=5.0, kappa_vuv=1.0, gamma_minus=0.1, n_nuclei=10, fwm_u=2.0,
+                    pump_amp=3.0, pump_center=0.2, pump_width=0.05)
+    a1 = mode_operators()["a1"]
+    h = (build_hamiltonian_operators(replace(p, pump_amp=0.0), collective_coupling=True),
+         project_to_basis(a1 + a1.T), p.pump_envelope)
+    rho0 = DensityMatrix.pure(h[0].shape[0], basis_index((0, 0, 1, 0)))
+    calls = recorded_solves(monkeypatch, lindblad, lambda: integrate_master(
+        h, rho0, standard_collapse_ops(p, collective_coupling=True), (0.0, 0.5),
+        n_samples=40, max_step=p.pump_width / 2.0))
+    assert len(calls) == 1
+    args, kwargs, result = calls[0]
+    assert result[2]["steps"] > 3
+    assert_same_run(args, kwargs, result)
+
+
+@pytest.mark.parametrize("max_step", [np.inf, 0.05])
+def test_complex_state_is_scipys_run(max_step):
+    # a damped spin-1 precession: y' = (-i H - gamma) y in complex arithmetic
+    h = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.5j], [0.0, -0.5j, -1.0]])
+    gen = -1j * h - 0.2 * np.eye(3)
+    y0 = np.array([1.0, 0.5j, -0.25 + 0.1j])
+    args = (lambda t, y: gen @ y * math.cos(t), (0.0, 6.0), y0, np.linspace(0.0, 6.0, 61))
+    result = solve_sampled(*args, max_step=max_step)
+    assert result[0].dtype == complex and result[2]["steps"] > 3
+    assert_same_run(args, {"max_step": max_step}, result)
+
+
+def test_an_rtol_below_100_eps_is_clamped_as_scipy_does():
+    args = (oscillator, (0.0, 2.0), np.array([1.0, 0.0]), np.linspace(0.0, 2.0, 11))
+    with pytest.warns(UserWarning, match="rtol"):
+        result = solve_sampled(*args, rtol=1e-20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_same_run(args, {"rtol": 1e-20}, result)
+    clamped = solve_sampled(*args, rtol=100 * np.finfo(float).eps)
+    assert np.array_equal(result[0], clamped[0])
+    assert (result[2]["steps"], result[2]["nfev"]) == (clamped[2]["steps"], clamped[2]["nfev"])
+
+
+def test_step_size_underflow_fails_where_scipy_does():
+    # y' = y^2 from y(0) = 1 blows up at t = 1
+    args = (lambda t, y: y * y, (0.0, 2.0), np.array([1.0]), np.array([0.5, 1.5]))
+    with pytest.raises(IntegrationFailure, match="Required step size") as err:
+        solve_sampled(*args)
+    with pytest.raises(IntegrationFailure) as ref, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scipy_solve(*args)
+    assert err.value.t == ref.value.t
+    assert abs(err.value.t - 1.0) < 1e-6
+
+
+def test_a_nan_step_size_fails_instead_of_hanging():
+    # atol = 0 on a component that is 0 makes the first step size 0/0; scipy's
+    # DOP853 retries that step forever
+    with pytest.raises(IntegrationFailure) as err, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solve_sampled(lambda t, y: -y, (0.0, 1.0), np.array([1.0, 0.0]),
+                      np.linspace(0.0, 1.0, 3), atol=0.0)
+    assert err.value.t == 0.0
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"max_step": 0.0}, "max_step"),
+    ({"max_step": -1.0}, "max_step"),
+    ({"max_step": math.nan}, "max_step"),
+    ({"atol": -1e-12}, "atol"),
+    ({"y0": np.array([1.0, math.nan])}, "finite"),
+    ({"y0": np.array([1.0, math.inf])}, "finite"),
+    ({"y0": np.ones((2, 1))}, "1-d"),
+    ({"y0": np.empty(0)}, "1-d"),
+], ids=["max_step=0", "max_step<0", "max_step=nan", "atol<0", "y0-nan", "y0-inf",
+        "y0-2d", "y0-empty"])
+def test_bad_arguments_raise_value_error(bad, match):
+    kw = {"y0": np.array([1.0, 0.0]), **bad}
+    with pytest.raises(ValueError, match=match):
+        solve_sampled(oscillator, (0.0, 1.0), kw.pop("y0"), np.linspace(0.0, 1.0, 5), **kw)
 
 
 _WIDE = np.random.default_rng(11).normal(size=(64, 64)) / 8.0 - 0.5 * np.eye(64)

@@ -263,6 +263,73 @@ def test_jump_time_guards():
         jump_time(np.arange(10.0), np.arange(10.0))
 
 
+def loop_jump_time(times, p_up, *, plateau_fraction=0.05, min_jump=0.01):
+    """jump_time as it was, one sample pair at a time: the oracle of the
+    vectorized crossing search."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(p_up, dtype=float)
+    n_edge = max(2, int(plateau_fraction * len(t)))
+    early = float(y[:n_edge].mean())
+    jump = float(y[-n_edge:].mean()) - early
+    if abs(jump) < min_jump:
+        raise NoJumpError("changes by")
+
+    def first_crossing(level, start):
+        sign = 1.0 if jump > 0 else -1.0
+        for i in range(start, len(t) - 1):
+            if sign * (y[i] - level) < 0.0 <= sign * (y[i + 1] - level):
+                frac = (level - y[i]) / (y[i + 1] - y[i])
+                return i, t[i] + frac * (t[i + 1] - t[i])
+        return None, None
+
+    i10, t10 = first_crossing(early + 0.1 * jump, 0)
+    if t10 is None:
+        raise NoJumpError("10% level never crossed")
+    _, t90 = first_crossing(early + 0.9 * jump, i10)
+    if t90 is None:
+        raise NoJumpError("90% level never crossed after the 10% crossing")
+    return float(t90 - t10)
+
+
+def test_jump_time_is_the_per_sample_loop():
+    # the traces of a 7-rate scan: 14 crossings, each the same float
+    for k in np.geomspace(2 * math.pi, 20 * math.pi, 7):
+        ts = integrate_sweep(SweepProtocol(delta0=50.0, rate_k=k, omega=1.0), n_samples=1500)
+        p_up, _ = polariton_populations(ts)
+        assert jump_time(ts.times, p_up) == loop_jump_time(ts.times, p_up)
+    t = np.linspace(-10.0, 10.0, 400)
+    rng = np.random.default_rng(4)
+    for trial in range(50):
+        # noisy edges cross a level several times; NaN rows never count as a crossing
+        y = np.tanh(t / rng.uniform(0.2, 3.0)) + rng.normal(scale=0.3, size=t.size)
+        y[rng.choice(t.size, size=trial, replace=False)] = np.nan
+        y[:20] = y[-20:] = 0.0
+        y[-20:] = rng.choice([-1.0, 1.0])
+        try:
+            expect = loop_jump_time(t, y)
+        except NoJumpError as err:
+            with pytest.raises(NoJumpError, match=str(err)):
+                jump_time(t, y)
+        else:
+            assert jump_time(t, y) == expect
+
+
+@pytest.mark.parametrize("gap, after, message", [
+    (0.0, 1.0, "10% level"), (0.5, 1.0, "90% level"),
+    # a row exactly on the level after the NaN starts no crossing either
+    (0.0, 0.1, "10% level"), (0.5, 0.9, "90% level")])
+def test_a_crossing_over_a_nan_row_is_no_crossing(gap, after, message):
+    # a plateau at 0 (then at `gap`), one NaN row, `after`, a plateau at 1
+    t = np.arange(60.0)
+    y = np.where(t < 30, np.where(t < 15, 0.0, gap), 1.0)
+    y[30] = np.nan
+    y[31] = after
+    with pytest.raises(NoJumpError, match=message):
+        loop_jump_time(t, y)
+    with pytest.raises(NoJumpError, match=message):
+        jump_time(t, y)
+
+
 def test_jump_scan_slope_is_inverse_in_rate():
     scan = jump_time_scan(1.0, 50.0, np.geomspace(2 * math.pi, 20 * math.pi, 3))
     assert scan.slope == pytest.approx(-1.0, abs=0.05)
