@@ -10,17 +10,18 @@ evaluation (ibid., sec. II.6); the per-step statistics come back with the
 values.  propagate_sampled steps a constant linear generator exactly on a
 uniform grid.
 
-DOP853 is stepped in the package, by _dop853.  Its tableau is the one scipy
-1.17 ships (scipy/integrate/_ivp/dop853_coefficients.py, BSD-3-Clause; the
-license is kept in that module), and each step repeats the arithmetic of
-scipy's DOP853 class, so steps, RHS calls and samples are scipy's to the bit;
-the tests hold it to scipy's class as the oracle.  The reason is the import:
-scipy.integrate brings scipy.special, scipy.optimize and scipy.sparse with
-it, which cost a fresh process 0.33 s and 23.7 MB resident on top of
-scipy.linalg (2 cores, scipy 1.17.1), for one class.  Now only
-propagate_sampled imports scipy, scipy.linalg for expm, on its first call, and
-_dop853 is compiled on solve_sampled's first call, so `import thcavity.cli`
-loads neither; rabi and a pumped lindblad11 run load no scipy at all.
+The package imports no scipy.  DOP853 is stepped by _dop853: its tableau is
+the one scipy 1.17 ships (scipy/integrate/_ivp/dop853_coefficients.py,
+BSD-3-Clause; the license is kept in that module), and each step repeats the
+arithmetic of scipy's DOP853 class, so steps, RHS calls and samples are
+scipy's to the bit.  propagate_sampled's exponential is _expm, the scaling
+and squaring algorithm of scipy.linalg.expm (Al-Mohy & Higham 2009) in numpy;
+it agrees with scipy's to roundoff, not to the bit.  The tests hold both to
+scipy as the oracle.  The reason is the import: scipy.linalg alone takes a
+fresh process from 28 to 55 MB resident and costs it 0.19-0.27 s, and it
+brings a second OpenBLAS whose thread pool competes with numpy's (2 cores,
+scipy 1.17.1).  _dop853 and _expm are compiled on the first call that needs
+them, so `import thcavity.cli` loads neither.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ def propagate_sampled(generator: np.ndarray, x0: np.ndarray, t0: float,
     time; every further block of B samples is the block before it times S^B,
     one matrix-matrix product, so the later samples cost about sqrt(n) BLAS
     calls in place of one matrix-vector product each.  Returns an array
-    (n_samples, x0.size); a non-finite sample raises IntegrationFailure.
+    (n_samples, x0.size); a non-finite sample raises IntegrationFailure, as
+    does a generator whose powers overflow (its exponential is NaN).
     """
-    from scipy.linalg import expm
+    from ._expm import expm   # compiled on the first call, not with the package
 
     samples = np.asarray(sample_times, dtype=float)
     n = samples.size

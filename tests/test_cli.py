@@ -596,30 +596,15 @@ def test_startup_loads_no_solver(tmp_path, case):
     assert not modules & _HEAVY
 
 
-@pytest.mark.parametrize("name", ["coupling", "spectrum", "phase-diagram", "sweep", "sweep-scan"])
-def test_closed_form_runs_load_no_scipy(tmp_path, name):
+@pytest.mark.parametrize("name", [*MINIMAL_CONFIGS, "lindblad11-pumped"])
+def test_no_run_loads_scipy(tmp_path, name):
+    """DOP853 and expm are the package's own: no run, closed form, adaptive or
+    exact propagator, loads any scipy module, and at --jobs 1 none loads the
+    process pool."""
     code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, name))
     assert code == 0
     assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
     assert "concurrent.futures.process" not in modules
-
-
-@pytest.mark.parametrize("name", ["rabi", "lindblad11-pumped"])
-def test_adaptive_runs_load_no_scipy(tmp_path, name):
-    """DOP853 is stepped in the package: a run that only integrates loads no scipy."""
-    code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, name))
-    assert code == 0
-    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
-
-
-@pytest.mark.parametrize("name", ["lindblad11", "superradiance", "lifetime"])
-def test_exact_propagators_load_scipy_linalg_only(tmp_path, name):
-    """The static master equation and the Dicke decay need expm, and nothing
-    more of scipy; the Dicke pump adds none."""
-    code, modules = _loaded_modules(tmp_path, _run_argv(tmp_path, name))
-    assert code == 0
-    assert "scipy.linalg" in modules
-    assert not modules & {"scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse"}
 
 
 def test_overflowing_master_equation_exits_1_without_artifacts(tmp_path, capsys):
