@@ -3,10 +3,9 @@
 Each subcommand reads one YAML config, runs the matching experiment, and
 writes CSV/JSON artifacts plus a manifest (config, outputs, diagnostics) into
 the output directory.  Configs are validated against a strict per-experiment
-schema: unknown keys are rejected and physical rates have no silent defaults
-(only tolerances and grid densities may be omitted).  Numeric CSV fields are
-formatted at 17 significant digits so a rerun of the same config is
-byte-identical.
+schema: unknown keys are rejected and physical rates have no silent defaults.
+Numeric CSV fields are formatted at 17 significant digits so a rerun of the
+same config is byte-identical.
 
 The `unit` field declares how the numbers in the config are to be read (Hz or
 rad/s).  Dynamics experiments are scale-free and run verbatim in the declared
@@ -232,15 +231,11 @@ def _model_sec(required, optional=()):
     return _sec(children)
 
 
-def _tol_sec(rtol, atol, n_samples=None, min_samples=1):
-    children = {"rtol": _num(required=False, default=rtol, positive=True),
-                "atol": _num(required=False, default=atol, positive=True)}
-    default = {"rtol": rtol, "atol": atol}
-    if n_samples is not None:
-        children["n_samples"] = _int(required=False, default=n_samples,
-                                     minimum=min_samples)
-        default["n_samples"] = n_samples
-    return _sec(children, required=False, default=default)
+def _tol_sec(n_samples, min_samples=1):
+    # the section keeps its name; the solvers' tolerances are their own defaults
+    return _sec({"n_samples": _int(required=False, default=n_samples,
+                                   minimum=min_samples)},
+                required=False, default={"n_samples": n_samples})
 
 
 _SCHEMAS = {
@@ -268,10 +263,9 @@ _SCHEMAS = {
         "model": _model_sec(("g", "kappa_vuv", "gamma_minus")),
         "scan": _sec({"n_nuclei": _list(_int(positive=True), min_len=4)}),
         "kick": _sec({
-            "target_alpha": _num(required=False, default=0.01, positive=True),
             "n_periods": _num(required=False, default=8.0, positive=True),
-        }, required=False, default={"target_alpha": 0.01, "n_periods": 8.0}),
-        "tolerances": _tol_sec(1e-8, 1e-10, n_samples=4000),
+        }, required=False, default={"n_periods": 8.0}),
+        "tolerances": _tol_sec(4000),
         "emit_traces": _bool(required=False, default=False),
     }),
     "lindblad11": _root({
@@ -289,7 +283,6 @@ _SCHEMAS = {
             "collective_coupling": _bool(required=False, default=False),
             "check": _bool(required=False, default=True),
         }, required=False, default={"collective_coupling": False, "check": True}),
-        "tolerances": _tol_sec(1e-10, 1e-12),
         "dump_operators": _bool(required=False, default=False),
     }),
     "superradiance": _root({
@@ -300,7 +293,7 @@ _SCHEMAS = {
             "fraction": _num(positive=True),
         }),
         # a pulse width needs 4 samples; the burst's pump takes the first
-        "tolerances": _tol_sec(1e-7, 1e-9, n_samples=1200, min_samples=4),
+        "tolerances": _tol_sec(1200, min_samples=4),
     }),
     "lifetime": _root({
         "model": _model_sec(("g", "gamma_minus", "n_nuclei", "fwm_u")),
@@ -309,7 +302,7 @@ _SCHEMAS = {
             "sigma": _num(positive=True),
             "fraction": _num(positive=True),
         }),
-        "tolerances": _tol_sec(1e-7, 1e-9, n_samples=1600, min_samples=4),
+        "tolerances": _tol_sec(1600, min_samples=4),
     }),
     "sweep": _root({
         "protocol": _sec({
@@ -319,10 +312,8 @@ _SCHEMAS = {
             "t_start": _num(required=False),
             "t_end": _num(required=False),
         }),
-        "scan": _sec({
-            "rate_k": _list(_num(positive=True), min_len=3),
-            "samples_per_period": _num(required=False, default=8.0, positive=True),
-        }, required=False),
+        "scan": _sec({"rate_k": _list(_num(positive=True), min_len=3)},
+                     required=False),
         "sampling": _sec({
             "n_samples": _int(required=False, default=4001, positive=True),
         }, required=False, default={"n_samples": 4001}),
@@ -419,14 +410,12 @@ def _mbe_trace_columns(ts):
 
 
 def _run_rabi(cfg, out, prefix, map_fn):
-    mod, tol, kick = cfg["model"], cfg["tolerances"], cfg["kick"]
+    mod = cfg["model"]
     ns = cfg["scan"]["n_nuclei"]
     p0 = _build(ModelParams, "model", g=mod["g"], kappa_vuv=mod["kappa_vuv"],
                 gamma_minus=mod["gamma_minus"], n_nuclei=ns[0])
-    fit = rabi_scaling_fit(ns, p0, n_periods=kick["n_periods"],
-                           target_alpha=kick["target_alpha"],
-                           n_samples=tol["n_samples"], rtol=tol["rtol"],
-                           atol=tol["atol"], map_fn=map_fn)
+    fit = rabi_scaling_fit(ns, p0, n_periods=cfg["kick"]["n_periods"],
+                           n_samples=cfg["tolerances"]["n_samples"], map_fn=map_fn)
     files = [write_csv(out / f"{prefix}.csv", ("sqrt_n", "omega_rabi"),
                        ([s for _, s, _ in fit.points], [w for _, _, w in fit.points]))]
     files.append(write_json(out / f"{prefix}_fit.json", {
@@ -453,9 +442,8 @@ def _run_rabi(cfg, out, prefix, map_fn):
 
 
 def _run_lindblad11(cfg, out, prefix, map_fn):
-    mod = dict(cfg["model"])
-    opts, tol = cfg["options"], cfg["tolerances"]
-    p = _build(ModelParams, "model", **mod)
+    opts = cfg["options"]
+    p = _build(ModelParams, "model", **cfg["model"])
     state = tuple(cfg["initial_state"])
     if len(state) != 4:
         raise ConfigError("initial_state: expected exactly 4 occupation numbers")
@@ -474,7 +462,6 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
     ts = integrate_master(hamiltonian, rho0, collapse,
                           (0.0, cfg["time"]["t_end"]),
                           n_samples=cfg["time"]["n_samples"],
-                          rtol=tol["rtol"], atol=tol["atol"],
                           max_step=p.pump_width / 2.0, check=opts["check"])
 
     labels = ["p_" + "".join(str(v) for v in s) for s in BASIS]
@@ -502,15 +489,14 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
                    "nfev": sum(s["nfev"] for s in solver)}
 
 
-def _superradiance_run(n, p, sigma, fraction, n_samples, rtol, atol):
+def _superradiance_run(n, p, sigma, fraction, n_samples):
     pn = replace(p, n_nuclei=int(n))
     model = pumped_effective_model(pn, sigma=sigma, fraction=fraction)
-    return simulate_superradiance(model, DickeSpace(int(n)),
-                                  n_samples=n_samples, rtol=rtol, atol=atol)
+    return simulate_superradiance(model, DickeSpace(int(n)), n_samples=n_samples)
 
 
 def _run_superradiance(cfg, out, prefix, map_fn):
-    mod, pump, tol = cfg["model"], cfg["pump"], cfg["tolerances"]
+    mod, pump = cfg["model"], cfg["pump"]
     ns = cfg["runs"]["n_nuclei"]
     p = _build(ModelParams, "model", g=mod["g"], kappa_vuv=mod["kappa_vuv"],
                gamma_minus=mod["gamma_minus"], fwm_u=mod["fwm_u"],
@@ -519,8 +505,8 @@ def _run_superradiance(cfg, out, prefix, map_fn):
         raise ConfigError("pump.fraction: must be in (0, 1)")
 
     work = partial(_superradiance_run, p=p, sigma=pump["sigma"],
-                   fraction=pump["fraction"], n_samples=tol["n_samples"],
-                   rtol=tol["rtol"], atol=tol["atol"])
+                   fraction=pump["fraction"],
+                   n_samples=cfg["tolerances"]["n_samples"])
     runs = list(map_fn(work, ns))
 
     files = []
@@ -553,7 +539,7 @@ def _run_superradiance(cfg, out, prefix, map_fn):
 
 
 def _run_lifetime(cfg, out, prefix, map_fn):
-    mod, pump, tol = cfg["model"], cfg["pump"], cfg["tolerances"]
+    mod, pump = cfg["model"], cfg["pump"]
     kappas = cfg["scan"]["kappa_vuv"]
     p = _build(ModelParams, "model", g=mod["g"], gamma_minus=mod["gamma_minus"],
                fwm_u=mod["fwm_u"], n_nuclei=mod["n_nuclei"],
@@ -562,8 +548,7 @@ def _run_lifetime(cfg, out, prefix, map_fn):
         raise ConfigError("pump.fraction: must be in (0, 1)")
     scan = lifetime_vs_kappa(p, kappas, pump_sigma=pump["sigma"],
                              fraction=pump["fraction"],
-                             n_samples=tol["n_samples"], rtol=tol["rtol"],
-                             atol=tol["atol"], map_fn=map_fn)
+                             n_samples=cfg["tolerances"]["n_samples"], map_fn=map_fn)
     files = [write_csv(out / f"{prefix}.csv", ("kappa", "tau_eff"),
                        list(zip(*scan.points)))]
     files.append(write_json(out / f"{prefix}_fit.json", {
@@ -584,7 +569,6 @@ def _run_sweep(cfg, out, prefix, map_fn):
                 "protocol.rate_k: remove it when scan.rate_k is given")
         scan = jump_time_scan(proto_cfg["omega"], proto_cfg["delta0"],
                               cfg["scan"]["rate_k"],
-                              samples_per_period=cfg["scan"]["samples_per_period"],
                               min_samples=cfg["sampling"]["n_samples"],
                               map_fn=map_fn)
         files = [write_csv(out / f"{prefix}.csv", ("k", "gamma_lz", "tau_jump"),

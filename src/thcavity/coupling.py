@@ -188,8 +188,6 @@ def collective_rates(
     )
 
 
-def collective_rates_from_params(p, *, delta0=None, rate_k=None) -> CollectiveRates:
+def collective_rates_from_params(p) -> CollectiveRates:
     """Same as collective_rates, reading rates from a ModelParams."""
-    return collective_rates(
-        p.g, p.n_nuclei, p.kappa_vuv, p.gamma_minus, delta0=delta0, rate_k=rate_k
-    )
+    return collective_rates(p.g, p.n_nuclei, p.kappa_vuv, p.gamma_minus)

@@ -126,7 +126,7 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class MasterEquationAccuracyError(RuntimeError):
-    """Trace drifted beyond tolerance: the integration cannot be trusted."""
+    """Tr rho left 1 by more than 1e-6 at some sample."""
 
 
 class PositivityViolationError(RuntimeError):
@@ -409,7 +409,7 @@ def integrate_master(
     k = int(np.argmin(eigs))
     if check and drift > 1e-6:
         raise MasterEquationAccuracyError(
-            f"trace drifted by {drift:.3e} (> 1e-6); tighten tolerances")
+            f"|Tr rho - 1| reached {drift:.3e} (> 1e-6)")
     if check and eigs[k] < -1e-6:
         raise PositivityViolationError(
             f"eigenvalue {eigs[k]:.3e} < -1e-6 at t={samples[k]:.6g}")

@@ -190,16 +190,14 @@ def dominant_angular_frequency(
     signal: np.ndarray,
     *,
     transient_fraction: float = 0.1,
-    min_peaks: int = 3,
-    peak_floor: float = 1e-12,
 ) -> float:
     """Angular frequency of a decaying oscillation from mean peak spacing.
 
     Discards the leading transient_fraction of the window, locates strict local
-    maxima above peak_floor * max, refines each by a parabolic fit through its
-    three samples, and returns 2*pi / mean(spacing).  For an exponentially
-    damped cosine the spacing is exactly one period, so the estimate is
-    unbiased by the envelope.
+    maxima above 1e-12 * max, refines each by a parabolic fit through its three
+    samples, and returns 2*pi / mean(spacing); fewer than 3 maxima raise
+    OverdampedSignalError.  For an exponentially damped cosine the spacing is
+    exactly one period, so the estimate is unbiased by the envelope.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(signal, dtype=float)
@@ -213,12 +211,12 @@ def dominant_angular_frequency(
     if len(t) < 8:
         raise OverdampedSignalError("transient cut removed nearly all samples")
 
-    floor = peak_floor * y.max() if y.max() > 0 else 0.0
+    floor = 1e-12 * y.max() if y.max() > 0 else 0.0
     core = (y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]) & (y[1:-1] > floor)
     idx = np.nonzero(core)[0] + 1
-    if len(idx) < min_peaks:
+    if len(idx) < 3:
         raise OverdampedSignalError(
-            f"found {len(idx)} usable maxima, need {min_peaks}: signal is "
+            f"found {len(idx)} usable maxima, need 3: signal is "
             "overdamped or the window is too short"
         )
     # parabolic refinement on the local sample triplet
@@ -233,23 +231,14 @@ def dominant_angular_frequency(
     return 2.0 * math.pi / spacing
 
 
-def extract_rabi_frequency(
-    trace: TimeSeries,
-    *,
-    transient_fraction: float = 0.1,
-    min_peaks: int = 3,
-) -> float:
+def extract_rabi_frequency(trace: TimeSeries, *, transient_fraction: float = 0.1) -> float:
     """Rabi frequency from an integrate_mbe trace.
 
     |alpha|^2 oscillates at twice the field's Rabi frequency, so the reported
     value is half the dominant intensity frequency.
     """
-    w = dominant_angular_frequency(
-        trace.times,
-        intensity_series(trace),
-        transient_fraction=transient_fraction,
-        min_peaks=min_peaks,
-    )
+    w = dominant_angular_frequency(trace.times, intensity_series(trace),
+                                   transient_fraction=transient_fraction)
     return 0.5 * w
 
 
@@ -287,17 +276,16 @@ def linear_rabi_frequency(n, p: ModelParams) -> float:
     return math.sqrt(max(omega2, 0.0))
 
 
-def _rabi_scan_point(n, p, drive, n_periods, target_alpha, n_samples, rtol, atol):
+def _rabi_scan_point(n, p, n_periods, n_samples):
     # one scan point; returns (n, omega or None, failure message or None, trace)
     pn = replace(p, n_nuclei=n)
-    kick = drive if drive is not None else rabi_kick(pn, target_alpha=target_alpha)
+    kick = rabi_kick(pn)
     omega_lin = linear_rabi_frequency(n, p)
     if omega_lin <= 0:
         return (n, None, "overdamped (negative oscillation frequency squared)", None)
     period = 2.0 * math.pi / omega_lin
     t_end = kick.center + n_periods * period
-    trace = integrate_mbe(pn, kick, (0.0, t_end),
-                          n_samples=n_samples, rtol=rtol, atol=atol)
+    trace = integrate_mbe(pn, kick, (0.0, t_end), n_samples=n_samples)
     try:
         w = extract_rabi_frequency(trace, transient_fraction=0.05)
     except OverdampedSignalError as err:
@@ -308,29 +296,24 @@ def _rabi_scan_point(n, p, drive, n_periods, target_alpha, n_samples, rtol, atol
 def rabi_scaling_fit(
     n_values,
     p: ModelParams,
-    drive: DriveProfile | None = None,
     *,
     n_periods: float = 8.0,
-    target_alpha: float = 0.01,
     n_samples: int = 4000,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     map_fn=map,
 ) -> RabiFit:
     """Extracted Rabi frequency vs sqrt(N), fitted linearly.
 
-    Each N reuses p with n_nuclei replaced.  drive=None sizes a fresh kick per
-    N (keeps the kick short against that N's oscillation).  Overdamped points
-    are dropped and listed in failures; fewer than 4 distinct usable points is
-    an error.  map_fn may be an executor's map; points evaluate independently.
+    Each N reuses p with n_nuclei replaced and gets its own rabi_kick, short
+    against that N's oscillation, then runs n_periods linear-regime periods
+    through integrate_mbe at its default tolerances.  Overdamped points are
+    dropped and listed in failures; fewer than 4 distinct usable points is an
+    error.  map_fn may be an executor's map; points evaluate independently.
     """
     ns = [int(n) for n in n_values]
     if len(set(ns)) < 4:
         raise ValueError(f"need at least 4 distinct N values, got {sorted(set(ns))}")
 
-    work = partial(_rabi_scan_point, p=p, drive=drive, n_periods=n_periods,
-                   target_alpha=target_alpha, n_samples=n_samples,
-                   rtol=rtol, atol=atol)
+    work = partial(_rabi_scan_point, p=p, n_periods=n_periods, n_samples=n_samples)
     points = []
     traces = []
     failures = []

@@ -129,9 +129,10 @@ class EffectiveModel:
     bad_cavity_ratio: float | None = None
 
 
-def build_effective_model(p: ModelParams, pump: DriveProfile = OFF) -> EffectiveModel:
-    """Eliminate the VUV cavity from p.  Warns when the bad-cavity condition
-    kappa_vuv >= 10 g sqrt(N) does not hold (the reduction is then dubious)."""
+def build_effective_model(p: ModelParams) -> EffectiveModel:
+    """Eliminate the VUV cavity from p, with the pump off.  Warns when the
+    bad-cavity condition kappa_vuv >= 10 g sqrt(N) does not hold (the
+    reduction is then dubious)."""
     if p.kappa_vuv <= 0:
         raise ValueError("adiabatic elimination needs kappa_vuv > 0")
     gamma_eff = p.gamma_minus + 4.0 * p.g**2 / p.kappa_vuv
@@ -144,7 +145,7 @@ def build_effective_model(p: ModelParams, pump: DriveProfile = OFF) -> Effective
             "model is outside its validity range",
             stacklevel=2,
         )
-    return EffectiveModel(drive_coupling=drive, gamma_eff=gamma_eff, pump=pump,
+    return EffectiveModel(drive_coupling=drive, gamma_eff=gamma_eff,
                           bad_cavity_ratio=ratio)
 
 
@@ -156,9 +157,10 @@ def pumped_effective_model(p: ModelParams, *, sigma: float,
     return replace(base, pump=pump)
 
 
-def calibrate_pump(drive_coupling: float, *, sigma: float, center: float | None = None,
+def calibrate_pump(drive_coupling: float, *, sigma: float,
                    fraction: float = 0.1) -> DriveProfile:
-    """Gaussian pump that tips the Bloch vector to excitation fraction f.
+    """Gaussian pump of width sigma, centred at 5 sigma, that tips the Bloch
+    vector to excitation fraction f.
 
     A resonant drive D(t)(J+ + J-) rotates a coherent state at angle rate
     2 D(t); the full-pulse rotation is theta = 2 * drive_coupling * eta0 *
@@ -172,11 +174,9 @@ def calibrate_pump(drive_coupling: float, *, sigma: float, center: float | None 
         raise ValueError("drive_coupling must be > 0 to pump")
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    if center is None:
-        center = 5.0 * sigma
     theta = math.acos(1.0 - 2.0 * fraction)
     eta0 = theta / (2.0 * drive_coupling * math.sqrt(2.0 * math.pi) * sigma)
-    return DriveProfile(amplitude=eta0, center=center, width=sigma, kind="gaussian")
+    return DriveProfile(amplitude=eta0, center=5.0 * sigma, width=sigma, kind="gaussian")
 
 
 def pump_off_time(pump: DriveProfile) -> float:
@@ -391,14 +391,13 @@ def post_pump_segment(ts: TimeSeries):
     return ts.times[mask], ts.column("intensity")[mask]
 
 
-def pulse_width_fwhm(times: np.ndarray, values: np.ndarray,
-                     *, min_samples_across: int = 4) -> float:
+def pulse_width_fwhm(times: np.ndarray, values: np.ndarray) -> float:
     """Full width at half maximum with linear interpolation at the crossings.
 
     When the segment starts at (or above) half maximum the left crossing is
     clamped to the segment start, so for a monotone decay this reduces to the
-    half-decay width.  Too few samples across the width, or a window that never
-    falls to half maximum, raises PulseResolutionError.
+    half-decay width.  Fewer than 4 sample intervals across the width, or a
+    window that never falls to half maximum, raises PulseResolutionError.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -429,7 +428,7 @@ def pulse_width_fwhm(times: np.ndarray, values: np.ndarray,
 
     width = t_right - t_left
     dt = np.diff(t).mean()
-    if width < min_samples_across * dt:
+    if width < 4 * dt:
         raise PulseResolutionError(
             f"only {width / dt:.1f} sample intervals across the width; "
             "increase n_samples")
@@ -483,11 +482,10 @@ class LifetimeScan:
     diagnostics: tuple  # burst_diagnostics per point, with kappa_vuv
 
 
-def _lifetime_scan_point(kappa, p, pump_sigma, fraction, n_samples, rtol, atol):
+def _lifetime_scan_point(kappa, p, pump_sigma, fraction, n_samples):
     pk = replace(p, kappa_vuv=kappa)
     model = pumped_effective_model(pk, sigma=pump_sigma, fraction=fraction)
-    ts = simulate_superradiance(model, DickeSpace(p.n_nuclei), n_samples=n_samples,
-                                rtol=rtol, atol=atol)
+    ts = simulate_superradiance(model, DickeSpace(p.n_nuclei), n_samples=n_samples)
     seg_t, seg_i = post_pump_segment(ts)
     return (kappa, pulse_width_fwhm(seg_t, seg_i)), {"kappa_vuv": kappa,
                                                      **burst_diagnostics(ts)}
@@ -500,8 +498,6 @@ def lifetime_vs_kappa(
     pump_sigma: float,
     fraction: float = 0.1,
     n_samples: int = 1600,
-    rtol: float = 1e-7,
-    atol: float = 1e-9,
     map_fn=map,
 ) -> LifetimeScan:
     """Pulse width tau_eff(kappa) at fixed (N, g), with a linear fit.
@@ -509,14 +505,15 @@ def lifetime_vs_kappa(
     The pump is re-calibrated per kappa so every run starts its free decay from
     the same tipped state; the post-pump dynamics then depend on time only
     through gamma_eff * t, making tau_eff proportional to 1/gamma_eff ~ kappa
-    up to the small gamma_minus offset.  map_fn may be an executor's map.
+    up to the small gamma_minus offset.  Each run is a simulate_superradiance
+    at its default pump tolerances.  map_fn may be an executor's map.
     """
     kappas = sorted(float(k) for k in kappa_values)
     if len(set(kappas)) < 3:
         raise ValueError(f"need >= 3 distinct kappa values, got {kappas}")
 
     work = partial(_lifetime_scan_point, p=p, pump_sigma=pump_sigma,
-                   fraction=fraction, n_samples=n_samples, rtol=rtol, atol=atol)
+                   fraction=fraction, n_samples=n_samples)
     points, diagnostics = zip(*map_fn(work, kappas))
 
     fit = fit_line([k for k, _ in points], [tau for _, tau in points])

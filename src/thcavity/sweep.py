@@ -246,33 +246,30 @@ def project_polariton(state, proto: SweepProtocol, t: float) -> tuple[float, flo
     return float(up), float(lo)
 
 
-def polariton_populations(ts: TimeSeries, proto: SweepProtocol | None = None):
-    """(p_up, p_lp) arrays along a stored sweep trace."""
-    if proto is None:
-        proto = ts.meta["protocol"]
+def polariton_populations(ts: TimeSeries):
+    """(p_up, p_lp) arrays along an integrate_sweep trace."""
+    proto = ts.meta["protocol"]
     return _branch_populations(ts.column("c_photon"), ts.column("c_nuclear"),
                                proto.delta(ts.times), proto.omega)
 
 
-def jump_time(times: np.ndarray, p_up: np.ndarray, *,
-              plateau_fraction: float = 0.05, min_jump: float = 0.01) -> float:
+def jump_time(times: np.ndarray, p_up: np.ndarray) -> float:
     """10-90 rise time of the upper-branch population.
 
-    Plateaus are the means over the first and last plateau_fraction of the
-    window; a jump smaller than min_jump raises NoJumpError.  Crossing times
-    are first crossings (scanning forward) with linear interpolation.
+    Plateaus are the means over the first and last 5% of the samples (at
+    least 2 each); a jump smaller than 0.01 raises NoJumpError.  Crossing
+    times are first crossings (scanning forward) with linear interpolation.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(p_up, dtype=float)
     if t.shape != y.shape or t.ndim != 1 or len(t) < 20:
         raise ValueError("need matching 1-d arrays of at least 20 samples")
-    n_edge = max(2, int(plateau_fraction * len(t)))
+    n_edge = max(2, int(0.05 * len(t)))
     early = float(y[:n_edge].mean())
     late = float(y[-n_edge:].mean())
     jump = late - early
-    if abs(jump) < min_jump:
-        raise NoJumpError(
-            f"upper-branch population changes by {jump:.3e} (< {min_jump:g})")
+    if abs(jump) < 0.01:
+        raise NoJumpError(f"upper-branch population changes by {jump:.3e} (< 0.01)")
 
     lo = early + 0.1 * jump
     hi = early + 0.9 * jump
@@ -307,11 +304,11 @@ class SweepScanResult:
     diagnostics: tuple  # per point: k, substeps, doubling_error, max_norm_drift
 
 
-def _jump_scan_point(k, omega, delta0, samples_per_period, min_samples):
+def _jump_scan_point(k, omega, delta0, min_samples):
     proto = SweepProtocol(delta0=delta0, rate_k=k, omega=omega)
     t0, t1 = proto.window
-    n = max(min_samples,
-            int(samples_per_period * abs(delta0) * (t1 - t0) / (2.0 * math.pi)))
+    # 8 samples per period of the fast phase delta0
+    n = max(min_samples, int(8.0 * abs(delta0) * (t1 - t0) / (2.0 * math.pi)))
     ts = integrate_sweep(proto, n_samples=n)
     p_up, _ = polariton_populations(ts)
     return (k, proto.lz_parameter, jump_time(ts.times, p_up)), {
@@ -323,22 +320,20 @@ def jump_time_scan(
     delta0: float,
     k_values,
     *,
-    samples_per_period: float = 8.0,
     min_samples: int = 4001,
     map_fn=map,
 ) -> SweepScanResult:
     """tau_jump(k) over a set of sweep rates, fitted on log-log axes.
 
-    Sampling scales with the fast phase delta0 * window so plateau averages
-    stay meaningful at slow sweeps.  map_fn may be an executor's map.
+    Each run takes 8 samples per period of the fast phase delta0 over its
+    window, and at least min_samples, so plateau averages stay meaningful at
+    slow sweeps.  map_fn may be an executor's map.
     """
     ks = sorted(float(k) for k in k_values)
     if len(set(ks)) < 3:
         raise ValueError(f"need >= 3 distinct sweep rates, got {ks}")
 
-    work = partial(_jump_scan_point, omega=omega, delta0=delta0,
-                   samples_per_period=samples_per_period,
-                   min_samples=min_samples)
+    work = partial(_jump_scan_point, omega=omega, delta0=delta0, min_samples=min_samples)
     points, diagnostics = zip(*map_fn(work, ks))
 
     fit = fit_loglog([k for k, _, _ in points], [tau for _, _, tau in points])

@@ -28,6 +28,7 @@ from thcavity.maxwell_bloch import integrate_mbe, rabi_kick
 from thcavity.params import ModelParams
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SPECTRUM_YAML = """\
 experiment: spectrum
@@ -286,12 +287,6 @@ def test_sweep_rejects_rate_in_both_places(tmp_path, capsys):
     assert "protocol.rate_k" in capsys.readouterr().err
 
 
-def test_sweep_takes_no_tolerances(tmp_path, capsys):
-    cfg = write(tmp_path, SWEEP_YAML + "tolerances:\n  rtol: 1.0e-10\n")
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "unknown field: tolerances" in capsys.readouterr().err
-
-
 def test_sweep_requires_a_rate_somewhere(tmp_path, capsys):
     bad = SWEEP_YAML.replace("  rate_k: 1.0\n", "")
     cfg = write(tmp_path, bad)
@@ -473,6 +468,28 @@ def test_too_few_burst_samples_is_a_config_error(tmp_path, capsys, name, n_sampl
     assert "tolerances.n_samples:" in capsys.readouterr().err
 
 
+# settings no config may set: the solvers run at their own tolerances, the
+# kick size and the sampling density are fixed; (config, keys set, field named)
+@pytest.mark.parametrize("name, keys, field", [
+    pytest.param(name, keys, field, id=f"{name}-{'.'.join(keys)}")
+    for name, keys, field in [
+        *[(name, ("tolerances", tol), f"tolerances.{tol}")
+          for name in ("rabi", "superradiance", "lifetime") for tol in ("rtol", "atol")],
+        ("lindblad11", ("tolerances", "rtol"), "tolerances"),
+        ("lindblad11", ("tolerances", "atol"), "tolerances"),
+        ("rabi", ("kick", "target_alpha"), "kick.target_alpha"),
+        ("sweep-scan", ("scan", "samples_per_period"), "scan.samples_per_period"),
+        ("sweep", ("tolerances", "rtol"), "tolerances"),
+    ]])
+def test_deleted_settings_are_unknown_fields(tmp_path, capsys, name, keys, field):
+    cfg = yaml.safe_load(MINIMAL_CONFIGS[name])
+    section, key = keys
+    cfg.setdefault(section, {})[key] = 1.0e-3
+    path = write(tmp_path, yaml.safe_dump(cfg))
+    assert main([cfg["experiment"], "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown field: {field}\n"
+
+
 def _diagnostics(tmp_path, text):
     cfg = yaml.safe_load(text)
     out = tmp_path / cfg["experiment"]
@@ -626,6 +643,22 @@ def test_bundled_configs_pass_the_schema(path):
     drops a field a config still sets fails here, not in a figure run."""
     raw = _load_config(path)
     _apply(_SCHEMAS[raw["experiment"]], raw, "")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["sweep_master", "dicke_burst"])
+def test_benchmark_configs_pass_the_schema(monkeypatch, workload, seed):
+    """Every config of the benchmark's workloads validates, read the way the
+    benchmark writes it, so a schema change that drops a field a workload sets
+    fails here, not in the benchmark."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    items = workloads.plan(workload, seed)
+    assert items
+    for item in items:
+        raw = yaml.safe_load(workloads.to_yaml(item.config))
+        _apply(_SCHEMAS[raw["experiment"]], raw, item.name)
 
 
 def test_bool_is_not_a_number(tmp_path, capsys):

@@ -17,6 +17,7 @@ from thcavity.lindblad import (
     BASIS,
     DIM,
     DensityMatrix,
+    MasterEquationAccuracyError,
     _coordinates,
     _from_real,
     _to_real,
@@ -284,6 +285,25 @@ def test_master_equation_is_linear():
     b = integrate_master(h, r2, collapse, **kw).values
     mix = integrate_master(h, 0.5 * (r1 + r2), collapse, **kw).values
     np.testing.assert_allclose(mix, 0.5 * (a + b), atol=1e-9)
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "pumped"])
+def test_a_trace_off_one_is_reported_as_a_drift(driven):
+    """Both runs keep the trace, so an initial trace of 2 stays 2: the check
+    reports |Tr rho - 1|, with no advice about tolerances, and unchecked the
+    run returns the same figure as trace_drift."""
+    p = params(g=4.0, kappa_vuv=1.0, fwm_u=2.0, pump_amp=2.0, pump_center=0.2,
+               pump_width=0.05)
+    h0 = build_hamiltonian_operators(replace(p, pump_amp=0.0))
+    a1 = mode_operators()["a1"]
+    h = (h0, project_to_basis(a1 + a1.T), p.pump_envelope) if driven else h0
+    rho0 = 2.0 * DensityMatrix.pure(DIM, basis_index((0, 0, 1, 0))).matrix
+    kw = dict(t_span=(0.0, 0.5), n_samples=20, max_step=0.025)
+    with pytest.raises(MasterEquationAccuracyError,
+                       match=r"^\|Tr rho - 1\| reached 1\.000e\+00 \(> 1e-6\)$"):
+        integrate_master(h, rho0, standard_collapse_ops(p), **kw)
+    ts = integrate_master(h, rho0, standard_collapse_ops(p), check=False, **kw)
+    assert ts.meta["trace_drift"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_time_dependent_pump_moves_population():
