@@ -22,7 +22,6 @@ __all__ = [
     "coupling_strength",
     "derived_coupling",
     "collective_rates",
-    "collective_rates_from_params",
 ]
 
 
@@ -186,8 +185,3 @@ def collective_rates(
         tau_eff_estimate=tau_est,
         lz_parameter=lz,
     )
-
-
-def collective_rates_from_params(p) -> CollectiveRates:
-    """Same as collective_rates, reading rates from a ModelParams."""
-    return collective_rates(p.g, p.n_nuclei, p.kappa_vuv, p.gamma_minus)

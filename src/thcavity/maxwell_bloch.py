@@ -9,13 +9,21 @@ polarization, Z the per-nucleus inversion (Z = -1 in the ground state):
 
 The Z equation's bracket is purely imaginary, so Z stays real; the state is
 integrated as five real components and Z never acquires an imaginary part.
+
+A Rabi scan is self-similar: in tau = t / t_end(N) every point has its kick
+at nearly the same tau and the same number of periods in [0, 1].  So
+rabi_scaling_fit runs all its points as one DOP853 solve of their stacked
+states (5 components per point), each point's time rescaled to the first
+point's, and integrate_mbe is the one-point case of that solve: one
+right-hand side serves both.  At this size a step costs numpy call overhead,
+not arithmetic, so a scan of B points pays that overhead once instead of B
+times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -41,6 +49,7 @@ __all__ = [
 ]
 
 MBE_COLUMNS = ("re_alpha", "im_alpha", "re_p", "im_p", "z")
+_RTOL, _ATOL = 1e-8, 1e-10   # integrate_mbe's and every Rabi scan's tolerances
 
 
 class OverdampedSignalError(RuntimeError):
@@ -91,63 +100,61 @@ class MeanFieldState:
         return cls(alpha=0.0, polarization=0.0, inversion=-1.0)
 
 
-def integrate_mbe(
-    p: ModelParams,
-    drive: DriveProfile = OFF,
-    t_span: tuple[float, float] = (0.0, 1.0),
-    init: MeanFieldState | None = None,
-    *,
-    n_samples: int = 2000,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    freeze_inversion: bool = False,
-) -> TimeSeries:
-    """Integrate the mean-field equations over t_span.
+def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
+                      freeze_inversion=False):
+    """One DOP853 solve of several mean-field runs in a shared time variable.
 
-    freeze_inversion pins Z at its initial value (linearized regime).  A
-    gaussian drive bounds the step size through the pulse so a narrow kick
-    cannot be stepped over, then integrates the remainder unconstrained.
-    meta["solver"] lists the solve_sampled stats of each segment.
+    runs holds (params, drive, init, scale) per run; the solve's time s runs
+    over t_span, and run b sits at its own time scale_b * s, so its equations
+    are those of integrate_mbe times scale_b.  The state stacks the five
+    components of every run, component by component.  A gaussian drive bounds
+    the step through the pulses, to half the narrowest mapped width, up to the
+    latest mapped pulse end; the rest runs unconstrained.  Returns the
+    samples at np.linspace(*t_span, n_samples), an array (runs, n_samples, 5),
+    and the solve_sampled stats of each segment.
     """
-    if init is None:
-        init = MeanFieldState.ground()
-    kappa = p.kappa_vuv
-    gamma = p.gamma_minus
-    g = p.g
-    ng = p.n_nuclei * g
+    ps, drives, inits, scales = zip(*runs)
+    kappa, gamma, g, n = (np.array([getattr(p, k) for p in ps], dtype=float)
+                          for k in ("kappa_vuv", "gamma_minus", "g", "n_nuclei"))
+    # each run's coefficients in the shared time
+    c = np.array(scales, dtype=float)
+    g = c * g
+    half_kappa = c * (0.5 * kappa)
+    neg_half_gamma = c * (-0.5 * gamma)
+    neg_gamma = c * -gamma
+    four_g = 4.0 * g
+    ng = n * g
+    scaled_drives = list(zip(drives, scales))
 
     def rhs(t, y):
-        ar, ai, pr, pi, z = y
-        e = drive.envelope(t)
-        dar = e.real - 0.5 * kappa * ar + ng * pi
-        dai = e.imag - 0.5 * kappa * ai - ng * pr
-        dpr = -0.5 * gamma * pr - g * z * ai
-        dpi = -0.5 * gamma * pi + g * z * ar
+        ar, ai, pr, pi, z = y.reshape(5, -1)
+        e = np.array([k * d.envelope(k * t) for d, k in scaled_drives], dtype=complex)
+        gz = g * z
+        dar = e.real - half_kappa * ar + ng * pi
+        dai = e.imag - half_kappa * ai - ng * pr
+        dpr = neg_half_gamma * pr - gz * ai
+        dpi = neg_half_gamma * pi + gz * ar
         if freeze_inversion:
-            dz = 0.0
+            dz = np.zeros_like(z)
         else:
-            dz = -gamma * (z + 1.0) - 4.0 * g * (ar * pi - ai * pr)
-        return np.array([dar, dai, dpr, dpi, dz])
+            dz = neg_gamma * (z + 1.0) - four_g * (ar * pi - ai * pr)
+        return np.concatenate((dar, dai, dpr, dpi, dz))
 
-    y0 = np.array(
-        [
-            complex(init.alpha).real,
-            complex(init.alpha).imag,
-            complex(init.polarization).real,
-            complex(init.polarization).imag,
-            float(init.inversion),
-        ]
-    )
+    y0 = np.array([[complex(s.alpha).real, complex(s.alpha).imag,
+                    complex(s.polarization).real, complex(s.polarization).imag,
+                    float(s.inversion)] for s in inits]).T.ravel()
     t0, t1 = t_span
     samples = np.linspace(t0, t1, int(n_samples))
 
-    # a gaussian drive: resolve the pulse with a bounded step, then run free
-    t_pulse = min(t1, drive.center + 6.0 * drive.width)
-    if drive.kind == "gaussian" and drive.amplitude != 0 and t_pulse > t0:
+    # gaussian drives: resolve the pulses with a bounded step, then run free
+    pulses = [((d.center + 6.0 * d.width) / k, d.width / k)
+              for d, k in scaled_drives if d.kind == "gaussian" and d.amplitude != 0]
+    t_pulse = min(t1, max((end for end, _ in pulses), default=t0))
+    if t_pulse > t0:
         tail = samples[samples > t_pulse]
         values, y_pulse, stats = solve_sampled(
             rhs, (t0, t_pulse), y0, samples[samples <= t_pulse],
-            rtol=rtol, atol=atol, max_step=drive.width / 2.0,
+            rtol=rtol, atol=atol, max_step=min(w for _, w in pulses) / 2.0,
         )
         solver = [stats]
         if tail.size:
@@ -158,10 +165,36 @@ def integrate_mbe(
     else:
         values, _, stats = solve_sampled(rhs, (t0, t1), y0, samples, rtol=rtol, atol=atol)
         solver = [stats]
+    stacked = values.reshape(len(samples), 5, len(runs)).transpose(2, 0, 1)
+    return np.ascontiguousarray(stacked), solver
 
+
+def integrate_mbe(
+    p: ModelParams,
+    drive: DriveProfile = OFF,
+    t_span: tuple[float, float] = (0.0, 1.0),
+    init: MeanFieldState | None = None,
+    *,
+    n_samples: int = 2000,
+    rtol: float = _RTOL,
+    atol: float = _ATOL,
+    freeze_inversion: bool = False,
+) -> TimeSeries:
+    """Integrate the mean-field equations over t_span.
+
+    freeze_inversion pins Z at its initial value (linearized regime).  A
+    gaussian drive bounds the step size to width/2 through the pulse so a
+    narrow kick cannot be stepped over, then integrates the remainder
+    unconstrained.  meta["solver"] lists the solve_sampled stats of each
+    segment.  This is the one-run case of the solve rabi_scaling_fit stacks.
+    """
+    if init is None:
+        init = MeanFieldState.ground()
+    values, solver = _integrate_scaled([(p, drive, init, 1.0)], t_span, n_samples,
+                                       rtol, atol, freeze_inversion)
     return TimeSeries(
-        times=samples,
-        values=values,
+        times=np.linspace(t_span[0], t_span[1], int(n_samples)),
+        values=values[0],
         columns=MBE_COLUMNS,
         meta={"params": p, "drive": drive, "rtol": rtol, "atol": atol,
               "freeze_inversion": freeze_inversion, "solver": solver},
@@ -276,21 +309,21 @@ def linear_rabi_frequency(n, p: ModelParams) -> float:
     return math.sqrt(max(omega2, 0.0))
 
 
-def _rabi_scan_point(n, p, n_periods, n_samples):
-    # one scan point; returns (n, omega or None, failure message or None, trace)
-    pn = replace(p, n_nuclei=n)
-    kick = rabi_kick(pn)
-    omega_lin = linear_rabi_frequency(n, p)
-    if omega_lin <= 0:
-        return (n, None, "overdamped (negative oscillation frequency squared)", None)
-    period = 2.0 * math.pi / omega_lin
-    t_end = kick.center + n_periods * period
-    trace = integrate_mbe(pn, kick, (0.0, t_end), n_samples=n_samples)
-    try:
-        w = extract_rabi_frequency(trace, transient_fraction=0.05)
-    except OverdampedSignalError as err:
-        return (n, None, str(err), None)
-    return (n, w, None, trace)
+def _scan_traces(runs, n_samples):
+    # (params, kick, t_end) per point, as one stacked solve in the first
+    # point's own time; each trace keeps its own time column
+    if not runs:
+        return []
+    t_scale = runs[0][2]
+    ground = MeanFieldState.ground()
+    values, solver = _integrate_scaled(
+        [(pn, kick, ground, t_end / t_scale) for pn, kick, t_end in runs],
+        (0.0, t_scale), n_samples)
+    return [TimeSeries(times=np.linspace(0.0, t_end, int(n_samples)), values=v,
+                       columns=MBE_COLUMNS,
+                       meta={"params": pn, "drive": kick, "rtol": _RTOL, "atol": _ATOL,
+                             "freeze_inversion": False, "solver": solver})
+            for (pn, kick, t_end), v in zip(runs, values)]
 
 
 def rabi_scaling_fit(
@@ -299,30 +332,52 @@ def rabi_scaling_fit(
     *,
     n_periods: float = 8.0,
     n_samples: int = 4000,
-    map_fn=map,
 ) -> RabiFit:
     """Extracted Rabi frequency vs sqrt(N), fitted linearly.
 
     Each N reuses p with n_nuclei replaced and gets its own rabi_kick, short
-    against that N's oscillation, then runs n_periods linear-regime periods
-    through integrate_mbe at its default tolerances.  Overdamped points are
-    dropped and listed in failures; fewer than 4 distinct usable points is an
-    error.  map_fn may be an executor's map; points evaluate independently.
+    against that N's oscillation, and runs to kick.center + n_periods
+    linear-regime periods.  The scan is self-similar: in tau = t / t_end(N)
+    every point has its kick at nearly the same tau and n_periods periods in
+    [0, 1].  So all points run as one DOP853 solve of their stacked states,
+    at integrate_mbe's default tolerances, in the first point's own time
+    (see _integrate_scaled); each trace's meta["solver"] holds that shared
+    solve's stats.  Overdamped points are dropped before the solve, or when
+    their trace shows fewer than 3 maxima, and listed in failures; fewer than
+    4 distinct usable points is an error.
     """
     ns = [int(n) for n in n_values]
     if len(set(ns)) < 4:
         raise ValueError(f"need at least 4 distinct N values, got {sorted(set(ns))}")
 
-    work = partial(_rabi_scan_point, p=p, n_periods=n_periods, n_samples=n_samples)
+    plans = []   # (n, (params, kick, t_end) or None)
+    for n in ns:
+        pn = replace(p, n_nuclei=n)
+        kick = rabi_kick(pn)
+        omega_lin = linear_rabi_frequency(n, p)
+        run = None
+        if omega_lin > 0:
+            period = 2.0 * math.pi / omega_lin
+            run = (pn, kick, kick.center + n_periods * period)
+        plans.append((n, run))
+    runs = [run for _, run in plans if run is not None]
+    solved = iter(_scan_traces(runs, n_samples))
+
     points = []
     traces = []
     failures = []
-    for n, w, msg, trace in map_fn(work, ns):
-        if w is None:
-            failures.append((n, msg))
-        else:
-            points.append((n, math.sqrt(n), w))
-            traces.append(trace)
+    for n, run in plans:
+        if run is None:
+            failures.append((n, "overdamped (negative oscillation frequency squared)"))
+            continue
+        trace = next(solved)
+        try:
+            w = extract_rabi_frequency(trace, transient_fraction=0.05)
+        except OverdampedSignalError as err:
+            failures.append((n, str(err)))
+            continue
+        points.append((n, math.sqrt(n), w))
+        traces.append(trace)
 
     if len({n for n, _, _ in points}) < 4:
         raise OverdampedSignalError(

@@ -24,7 +24,7 @@ from thcavity.cli import (
     main,
     run_config,
 )
-from thcavity.maxwell_bloch import integrate_mbe, rabi_kick
+from thcavity.maxwell_bloch import rabi_scaling_fit
 from thcavity.params import ModelParams
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -231,13 +231,11 @@ def test_rabi_jobs_do_not_change_the_artifacts(tmp_path):
     assert fit["fit"]["slope"] == pytest.approx(1.0, rel=0.02)
     assert fit["fit"]["r2"] > 0.999
 
-    # each written trace is the run the fit read its frequency from
-    for n, name in zip(ns, traces):
-        p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=0.001, n_nuclei=n)
-        kick = rabi_kick(p)
-        omega = math.sqrt(n - ((0.5 - 0.001) / 4.0) ** 2)
-        ts = integrate_mbe(p, kick, (0.0, kick.center + 6.0 * (2.0 * math.pi / omega)),
-                           n_samples=1200)
+    # each written trace is the trace the fit read its frequency from
+    fit = rabi_scaling_fit(ns, ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=0.001,
+                                           n_nuclei=16),
+                           n_periods=6.0, n_samples=1200)
+    for ts, name in zip(fit.traces, traces):
         a_re, a_im = ts.column("re_alpha"), ts.column("im_alpha")
         expected = np.column_stack([ts.times, a_re, a_im, a_re**2 + a_im**2,
                                     ts.column("re_p"), ts.column("im_p"), ts.column("z")])
@@ -659,6 +657,25 @@ def test_benchmark_configs_pass_the_schema(monkeypatch, workload, seed):
     for item in items:
         raw = yaml.safe_load(workloads.to_yaml(item.config))
         _apply(_SCHEMAS[raw["experiment"]], raw, item.name)
+
+
+def test_the_c_loader_reads_every_config_as_the_python_loader_does(monkeypatch, tmp_path):
+    """_load_config parses with libyaml's CSafeLoader where PyYAML has it; every
+    bundled config, every benchmark config and every snippet in this file
+    loads to the same dict, with the same types, as under SafeLoader."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    texts = [path.read_text() for path in sorted(CONFIGS.glob("*.yaml"))]
+    texts += [workloads.to_yaml(item.config) for workload in workloads.WORKLOADS
+              for seed in (1, 2, 3) for item in workloads.plan(workload, seed)]
+    snippets = [v for k, v in globals().items() if k.endswith("_YAML")]
+    assert len(snippets) >= 10
+    texts += snippets
+    path = tmp_path / "cfg.yaml"
+    for text in texts:
+        path.write_text(text)
+        assert repr(_load_config(path)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
 
 def test_bool_is_not_a_number(tmp_path, capsys):

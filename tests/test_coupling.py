@@ -16,13 +16,11 @@ from thcavity.coupling import (
     THORIUM_229,
     NuclearTransition,
     collective_rates,
-    collective_rates_from_params,
     coupling_strength,
     derived_coupling,
     dipole_moment_from_lifetime,
     vacuum_field,
 )
-from thcavity.params import ModelParams
 
 G_FROZEN = 672.9114808246269  # rad/s for the reference transition
 
@@ -154,10 +152,3 @@ def test_landau_zener_arguments_come_in_pairs():
 def test_collective_rates_validation(args):
     with pytest.raises(ValueError):
         collective_rates(*args)
-
-
-def test_collective_rates_from_params():
-    p = ModelParams(g=3.0, kappa_vuv=10.0, gamma_minus=0.2, n_nuclei=16)
-    r = collective_rates_from_params(p)
-    assert r.omega_collective == pytest.approx(12.0)
-    assert r.cooperativity == pytest.approx(16 * 9.0 / 2.0)

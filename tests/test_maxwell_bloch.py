@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from thcavity.maxwell_bloch import (
     integrate_mbe,
     intensity_series,
     inversion_series,
+    linear_rabi_frequency,
     polarization_series,
     rabi_kick,
     rabi_scaling_fit,
@@ -197,3 +200,90 @@ def test_scaling_fit_rejects_fully_overdamped_scans():
     p = ModelParams(g=1.0, kappa_vuv=500.0, gamma_minus=1e-3, n_nuclei=1)
     with pytest.raises(OverdampedSignalError, match="overdamped"):
         rabi_scaling_fit([4, 9, 16, 25], p, n_samples=500)
+
+
+def test_stacked_scan_matches_independent_tight_runs():
+    """Oracle for the stacked scan: each point against its own integrate_mbe
+    run at rtol 1e-12, atol 1e-16, on the same time column.  The shared solve
+    takes at most 1.2x the steps of the largest point run on its own at the
+    default tolerances."""
+    p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
+    ns = [16, 25, 36, 49]
+    fit = rabi_scaling_fit(ns, p, n_periods=6.0, n_samples=1200)
+    assert [n for n, _, _ in fit.points] == ns
+    single_steps = []
+    for (n, _, w), tr in zip(fit.points, fit.traces):
+        pn = replace(p, n_nuclei=n)
+        kick = rabi_kick(pn)
+        t_end = kick.center + 6.0 * (2.0 * math.pi / linear_rabi_frequency(n, p))
+        ref = integrate_mbe(pn, kick, (0.0, t_end), n_samples=1200, rtol=1e-12, atol=1e-16)
+        assert np.array_equal(tr.times, np.linspace(0.0, t_end, 1200))
+        assert np.array_equal(tr.times, ref.times)
+        scale = np.abs(ref.values).max(axis=0)
+        assert (np.abs(tr.values - ref.values).max(axis=0) <= 1e-6 * scale).all()
+        ref_w = extract_rabi_frequency(ref, transient_fraction=0.05)
+        assert w == pytest.approx(ref_w, rel=1e-7)
+        alone = integrate_mbe(pn, kick, (0.0, t_end), n_samples=1200)
+        single_steps.append(sum(s["steps"] for s in alone.meta["solver"]))
+    shared = fit.traces[0].meta["solver"]
+    assert all(tr.meta["solver"] is shared for tr in fit.traces)
+    assert sum(s["steps"] for s in shared) <= 1.2 * max(single_steps)
+
+
+def test_stacked_scan_is_one_solve_per_segment(spy_solves):
+    calls = spy_solves(maxwell_bloch)
+    p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
+    fit = rabi_scaling_fit([16, 25, 36, 49], p, n_periods=6.0, n_samples=600)
+    assert len(calls) == 2                  # the kicks, then the free run
+    (_, span_k, y0, _, kw_k), (_, span_f, _, _, _) = calls
+    assert y0.shape == (20,)
+    kicks = [tr.meta["drive"] for tr in fit.traces]
+    t_ends = [tr.times[-1] for tr in fit.traces]
+    mapped = [(k.center + 6.0 * k.width) * t_ends[0] / t for k, t in zip(kicks, t_ends)]
+    assert span_k[1] == span_f[0] == pytest.approx(max(mapped), rel=1e-12)
+    widths = [k.width * t_ends[0] / t for k, t in zip(kicks, t_ends)]
+    assert kw_k["max_step"] == pytest.approx(min(widths) / 2.0, rel=1e-12)
+    assert span_f[1] == t_ends[0]
+
+
+# (steps, nfev) per segment and sha256 of the sampled values of integrate_mbe
+# runs, recorded from the per-run solve that the stacked one replaced
+ONE_RUN_RECORDS = [
+    ("kick", [(24, 347), (53, 893)],
+     "1ffeb964d78912af2fdc54cf1da81680707a618fd1a95a01f85e4a3beaee4b9c"),
+    ("free", [(24, 398)],
+     "19753b6c2e92626695a71f6e662b06b98ae1cc275131388ecadb94bed8a8c597"),
+    ("frozen", [(34, 512)],
+     "84b764c5f899de1dcb28f235125eb89ae0c09dd540574c68d304dabf0cac9aec"),
+    ("complex_drive", [(23, 359), (8, 122)],
+     "04946393aaa764e7c2d0ddf5ac5956e613e99f180744cc4b370067ed36317d83"),
+]
+
+
+def _one_run(case):
+    if case == "kick":
+        p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=25)
+        kick = rabi_kick(p)
+        omega = math.sqrt(25 - ((0.5 - 1e-3) / 4.0) ** 2)
+        return integrate_mbe(p, kick, (0.0, kick.center + 6.0 * 2.0 * math.pi / omega),
+                             n_samples=1200)
+    if case == "free":
+        return integrate_mbe(params(kappa_vuv=0.3, gamma_minus=0.1, n_nuclei=9),
+                             t_span=(0.0, 4.0),
+                             init=MeanFieldState(0.5 + 0.25j, 0.1j, -0.8), n_samples=300)
+    if case == "frozen":
+        return integrate_mbe(params(kappa_vuv=0.0, gamma_minus=0.0), t_span=(0.0, 2.0),
+                             init=MeanFieldState(1.0, 0.0, -1.0), n_samples=400,
+                             freeze_inversion=True)
+    drive = DriveProfile(amplitude=0.3 - 0.2j, center=1.0, width=0.2)
+    return integrate_mbe(ModelParams(g=0.7, kappa_vuv=0.2, gamma_minus=0.05, n_nuclei=4),
+                         drive, t_span=(0.0, 5.0), n_samples=250)
+
+
+@pytest.mark.parametrize("case, segments, digest", ONE_RUN_RECORDS,
+                         ids=[r[0] for r in ONE_RUN_RECORDS])
+def test_one_run_keeps_its_steps_and_bits(case, segments, digest):
+    ts = _one_run(case)
+    assert [(s["steps"], s["nfev"]) for s in ts.meta["solver"]] == segments
+    assert ts.values.flags["C_CONTIGUOUS"] and ts.values.dtype == np.float64
+    assert hashlib.sha256(ts.values.tobytes()).hexdigest() == digest

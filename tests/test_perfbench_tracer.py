@@ -51,3 +51,25 @@ def test_traced_solve_and_write_pass_through_and_are_tallied(monkeypatch, tmp_pa
     assert m["integrate.rhs_calls"] == ref[2]["nfev"] > 0
     assert m["integrate.samples"] == 6
     assert m["output.files"] == 1 and m["output.bytes"] == path.stat().st_size > 0
+
+
+def test_traced_rabi_scan_reads_its_solve_and_extraction(monkeypatch, tmp_path):
+    """A rabi scan is one stacked solve (the kicks, then the free run); the
+    tracer still sees its RHS calls, its two solves and its extractions."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    cfg = tmp_path / "rabi.yaml"
+    cfg.write_text("experiment: rabi\nunit: rad/s\n"
+                   "model: {g: 1.0, kappa_vuv: 0.5, gamma_minus: 0.001}\n"
+                   "scan: {n_nuclei: [16, 25, 36, 49]}\n"
+                   "tolerances: {n_samples: 600}\n")
+    t = tracer.Tracer()
+    with t.installed():
+        tracer.cli.run_config(cfg, out_dir=tmp_path / "out", jobs=1)
+    m = t.metrics()
+    assert sum(s[0] == "maxwell_bloch.solve" for s in t.spans) == 2
+    assert m["integrate.solve_calls"] == 2
+    assert m["maxwell_bloch.rhs_calls"] == m["integrate.rhs_calls"] > 0
+    assert m["maxwell_bloch.extract_s"] > 0
+    assert sum(s[0] == "maxwell_bloch.extract" for s in t.spans) == 4
