@@ -6,9 +6,10 @@ ODEs I, sec. II.5), adding sampling through the dense output and an optional
 observable callback so that large states (density matrices) never need to be
 stored per sample.  A Runge-Kutta interpolant is a polynomial over its whole
 step, so the samples inside one accepted step come from one dense-output
-evaluation (ibid., sec. II.6); the per-step statistics come back with the
-values.  propagate_sampled steps a constant linear generator exactly on a
-uniform grid.
+evaluation (ibid., sec. II.6); the per-segment statistics come back with the
+values.  Every driven run is a Gaussian pulse, then free evolution, and
+solve_sampled owns that split (DriveProfile.window).  propagate_sampled steps
+a constant linear generator exactly on a uniform grid.
 
 The package imports no scipy.  DOP853 is stepped by _dop853: its tableau is
 the one scipy 1.17 ships (scipy/integrate/_ivp/dop853_coefficients.py,
@@ -57,7 +58,7 @@ def solve_sampled(
     observe=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    max_step: float = np.inf,
+    pulse: tuple[float, float] | None = None,
 ):
     """Integrate y' = rhs(t, y) with DOP853; return (values at sample_times,
     y_end, stats).
@@ -68,21 +69,24 @@ def solve_sampled(
     state at each sample as an array (n_samples, dim); otherwise observe(t, y)
     is called per sample and its outputs are stacked, keeping memory
     independent of the state dimension.  y_end is the dense output at
-    t_span[1], the state a following segment starts from.  stats is a dict of
-    this segment's accepted `steps`, its RHS call count `nfev` (the probe of
-    the first step size and the three extra stages of each interpolant
-    included) and `wall_s`.
+    t_span[1], the state a following run starts from.
+
+    pulse, a drive's window (end, cap) (DriveProfile.window), caps the step at
+    cap up to end, so a narrow pulse cannot be stepped over; a fresh uncapped
+    segment then starts from the dense-output state at end.  stats lists one
+    dict per segment: its accepted `steps`, its RHS call count `nfev` (the
+    probe of the first step size and the three extra stages of each
+    interpolant included) and `wall_s`.
 
     y0 must be a finite non-empty 1-d array; a complex y0 integrates in
-    complex arithmetic, and each RHS value is cast to the state's dtype.
-    max_step must be > 0 and atol >= 0; an rtol below 100 machine epsilons is
-    raised to that, with a warning.  A non-finite derivative at t_span[0], a
-    step size below 10 float spacings, or a step that leaves a non-finite
-    time or state raises IntegrationFailure.
+    complex arithmetic, and each RHS value is cast to the state's dtype.  The
+    pulse cap must be > 0 and atol >= 0; an rtol below 100 machine epsilons is
+    raised to that, with a warning.  A non-finite derivative at the start of a
+    segment, a step size below 10 float spacings, or a step that leaves a
+    non-finite time or state raises IntegrationFailure.
     """
     from . import _dop853 as rk   # compiled on the first call, not with the package
 
-    start = perf_counter()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
@@ -100,8 +104,15 @@ def solve_sampled(
         raise ValueError(f"y0 must be a non-empty 1-d array, got shape {y0.shape}")
     if not np.isfinite(y0).all():
         raise ValueError("y0 must be finite")
-    if not max_step > 0:
-        raise ValueError(f"max_step must be > 0, got {max_step}")
+    legs = [(t1, np.inf)]   # (end, max_step) of each segment
+    if pulse is not None:
+        end, cap = pulse
+        if not cap > 0 or math.isnan(end):
+            raise ValueError(f"pulse cap must be > 0 and its end a number, got {pulse}")
+        if end >= t1:
+            legs = [(t1, cap)]
+        elif end > t0:
+            legs = [(float(end), cap), (t1, np.inf)]
     if not atol >= 0:
         raise ValueError(f"atol must be >= 0, got {atol}")
     if rtol < 100 * _EPS:
@@ -116,13 +127,7 @@ def solve_sampled(
         nfev += 1
         return np.asarray(rhs(t, y), dtype=dtype)
 
-    f = fun(t0, y0)
-    if not np.isfinite(f).all():
-        # the step size would be nan, and no step would ever be accepted
-        raise IntegrationFailure(f"non-finite derivative at t={t0:.6g}", t=t0)
-    h_abs = rk.initial_step(fun, t0, y0, f, t1, max_step, rtol, atol)
     K = np.empty((rk.N_STAGES_EXTENDED, y0.size), dtype=dtype)
-
     out = []
 
     def take(times, states):
@@ -137,30 +142,41 @@ def solve_sampled(
     if i:
         take(np.full(i, t0), np.repeat(y0[None], i, axis=0))
 
-    t, y = t0, y0
-    steps = 0
-    while t < t1:
-        accepted = rk.step(fun, t, y, f, h_abs, t1, max_step, rtol, atol, K)
-        if accepted is None:
-            raise IntegrationFailure(
-                f"integration failed at t={t:.6g}: Required step size is less than "
-                "spacing between numbers.; try a shorter t_span or looser tolerances",
-                t=t,
-            )
-        t_old, y_old = t, y
-        t, y, f, h_abs = accepted
-        if not (math.isfinite(t) and np.isfinite(y).all()):
-            raise IntegrationFailure(f"non-finite state at t={t:.6g}", t=t)
-        steps += 1
-        dense = None
-        j = int(np.searchsorted(samples, t, side="right"))
-        if j > i:
-            # every sample of the step from one evaluation of its interpolant
-            dense = rk.dense_output(fun, K, t_old, y_old, t, y, f)
-            take(samples[i:j], dense(samples[i:j]))
-            i = j
-    # the last step's interpolant, reused if a sample already built it
-    y_end = (dense or rk.dense_output(fun, K, t_old, y_old, t, y, f))(np.array([t1]))[0]
+    t, y_end = t0, y0
+    stats = []
+    for t_end, max_step in legs:
+        start, nfev_start = perf_counter(), nfev
+        y = y_end
+        f = fun(t, y)
+        if not np.isfinite(f).all():
+            # the step size would be nan, and no step would ever be accepted
+            raise IntegrationFailure(f"non-finite derivative at t={t:.6g}", t=t)
+        h_abs = rk.initial_step(fun, t, y, f, t_end, max_step, rtol, atol)
+        steps = 0
+        while t < t_end:
+            accepted = rk.step(fun, t, y, f, h_abs, t_end, max_step, rtol, atol, K)
+            if accepted is None:
+                raise IntegrationFailure(
+                    f"integration failed at t={t:.6g}: Required step size is less than "
+                    "spacing between numbers.; try a shorter t_span or looser tolerances",
+                    t=t,
+                )
+            t_old, y_old = t, y
+            t, y, f, h_abs = accepted
+            if not (math.isfinite(t) and np.isfinite(y).all()):
+                raise IntegrationFailure(f"non-finite state at t={t:.6g}", t=t)
+            steps += 1
+            dense = None
+            j = int(np.searchsorted(samples, t, side="right"))
+            if j > i:
+                # every sample of the step from one evaluation of its interpolant
+                dense = rk.dense_output(fun, K, t_old, y_old, t, y, f)
+                take(samples[i:j], dense(samples[i:j]))
+                i = j
+        # the last step's interpolant, reused if a sample already built it
+        y_end = (dense or rk.dense_output(fun, K, t_old, y_old, t, y, f))(np.array([t_end]))[0]
+        stats.append({"steps": steps, "nfev": nfev - nfev_start,
+                      "wall_s": perf_counter() - start})
 
     # samples at exactly t1 can be left over through float comparison slop
     if i < samples.size:
@@ -173,7 +189,6 @@ def solve_sampled(
         values = [np.asarray(comp) for comp in zip(*out)]
     else:
         values = np.asarray(out)
-    stats = {"steps": steps, "nfev": nfev, "wall_s": perf_counter() - start}
     return values, y_end, stats
 
 

@@ -451,18 +451,17 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
     rho0 = DensityMatrix.pure(DIM, idx)
 
     collective = opts["collective_coupling"]
-    # H(t) = h0 + pump_envelope(t) * (a1 + a1^dag), h0 with the pump off
+    # H(t) = h0 + pump.envelope(t) * (a1 + a1^dag), h0 with the pump off
     hamiltonian = h0 = build_hamiltonian_operators(replace(p, pump_amp=0.0),
                                                    collective_coupling=collective)
     if p.pump_amp != 0.0:
         a1 = mode_operators()["a1"]
-        hamiltonian = (h0, project_to_basis(a1 + a1.T), p.pump_envelope)
+        hamiltonian = (h0, project_to_basis(a1 + a1.T), p.pump)
 
     collapse = standard_collapse_ops(p, collective_coupling=collective)
     ts = integrate_master(hamiltonian, rho0, collapse,
                           (0.0, cfg["time"]["t_end"]),
-                          n_samples=cfg["time"]["n_samples"],
-                          max_step=p.pump_width / 2.0, check=opts["check"])
+                          n_samples=cfg["time"]["n_samples"], check=opts["check"])
 
     labels = ["p_" + "".join(str(v) for v in s) for s in BASIS]
     pops = [population_series(ts, i) for i in range(DIM)]

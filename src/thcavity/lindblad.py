@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._integrate import propagate_sampled, solve_sampled
-from .params import ModelParams, TimeSeries
+from .params import DriveProfile, ModelParams, TimeSeries
 
 __all__ = [
     "BasisState",
@@ -204,7 +204,7 @@ def build_hamiltonian_explicit(p: ModelParams, t: float = 0.0,
     w1, w2, wv, e = p.omega1, p.omega2, p.omega_vuv, p.e_nuc
     u = p.fwm_u
     gc = p.g * math.sqrt(p.n_nuclei) if collective_coupling else p.g
-    op = p.pump_envelope(t)
+    op = p.pump.envelope(t)
 
     h = np.zeros((DIM, DIM))
     diag = (2.0 * w1, w2 + wv, w2 + e, w1, w1 + w2 + wv, wv, e,
@@ -263,7 +263,7 @@ def build_hamiltonian_operators(p: ModelParams, t: float = 0.0,
     gc = p.g * math.sqrt(p.n_nuclei) if collective_coupling else p.g
     h = h + gc * (_EXCHANGE_RWA if rwa else _EXCHANGE_FULL)
     h = h + p.fwm_u * _FWM
-    h = h + p.pump_envelope(t) * _PUMP
+    h = h + p.pump.envelope(t) * _PUMP
     if project:
         return project_to_basis(h)
     return h
@@ -351,31 +351,36 @@ def integrate_master(
     n_samples: int = 400,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = np.inf,
     check: bool = True,
 ) -> TimeSeries:
     """Integrate the master equation; values are the sampled density matrices.
 
     hamiltonian is a (d,d) array, propagated exactly with no tolerance, or a
-    triple (h0, h1, envelope) for H(t) = h0 + envelope(t) * h1 with a real
-    envelope, run on DOP853 (rtol, atol, max_step); collapse_ops must already
-    carry their sqrt(rate) scale.  Both runs step the real coordinates
-    x_a = Tr(E_a rho) in an orthonormal Hermitian basis (E_ii, then
-    (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2) for i < j), where the
-    Liouvillian is a real d^2 x d^2 matrix, so no complex arithmetic is
-    stepped; the density matrices are rebuilt from all samples at once, each
-    Hermitian to the last bit.  meta holds trace_drift (largest
+    triple (h0, h1, pump) for H(t) = h0 + pump.envelope(t) * h1, pump a
+    DriveProfile of real amplitude, run on DOP853 (rtol, atol) with the step
+    capped through the pump's window (DriveProfile.window) and uncapped after
+    it; collapse_ops must already carry their sqrt(rate) scale.  Both runs
+    step the real coordinates x_a = Tr(E_a rho) in an orthonormal Hermitian
+    basis (E_ii, then (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2) for
+    i < j), where the Liouvillian is a real d^2 x d^2 matrix, so no complex
+    arithmetic is stepped; the density matrices are rebuilt from all samples
+    at once, each Hermitian to the last bit.  meta holds trace_drift (largest
     |Tr rho - 1|), min_eigenvalue (over all samples) and solver, the
-    solve_sampled stats of the DOP853 run (empty for the exact static run).
-    With check=True a trace drift beyond 1e-6 raises
-    MasterEquationAccuracyError, an eigenvalue below -1e-6 raises
+    solve_sampled stats of each DOP853 segment (empty for the exact static
+    run).  With check=True a trace drift beyond 1e-6 raises
+    MasterEquationAccuracyError, before anything is propagated if rho0 is
+    off already, and an eigenvalue below -1e-6 raises
     PositivityViolationError.
     """
-    if callable(hamiltonian):
-        raise TypeError("hamiltonian must be a (d, d) array or a triple (h0, h1, envelope)")
     driven = isinstance(hamiltonian, tuple)
     # a static h1 is h0 again: it only passes through the shape check below
-    h0, h1, envelope = hamiltonian if driven else (hamiltonian, hamiltonian, None)
+    h0, h1, pump = hamiltonian if driven else (hamiltonian, hamiltonian, DriveProfile())
+    if callable(hamiltonian) or not isinstance(pump, DriveProfile):
+        raise TypeError("hamiltonian must be a (d, d) array or a triple (h0, h1, pump), "
+                        "pump a DriveProfile")
+    if np.iscomplexobj(pump.amplitude):
+        # the real coordinates would keep only the real part of the drive
+        raise ValueError(f"pump amplitude must be real, got {pump.amplitude!r}")
     if isinstance(rho0, DensityMatrix):
         rho0 = rho0.matrix
     rho0 = np.asarray(rho0, dtype=complex)
@@ -391,25 +396,25 @@ def integrate_master(
 
     # the real part of the coordinates is those of rho0's Hermitian part
     x0 = _coordinates(rho0.ravel()).real
+    drift = abs(x0[:dim].sum() - 1.0)
+    if check and drift > 1e-6:
+        raise MasterEquationAccuracyError(f"|Tr rho - 1| reached {drift:.3e} (> 1e-6)")
     gen = _to_real(liouvillian(h0, collapse_ops)).real.copy()   # contiguous for BLAS
     samples = np.linspace(t_span[0], t_span[1], int(n_samples))
-    solver = []
-    if not driven:
-        xs = propagate_sampled(gen, x0, t_span[0], samples)
-    else:
+    if driven:
         drive = _to_real(liouvillian(h1)).real.copy()
-        xs, _, stats = solve_sampled(lambda t, y: gen @ y + envelope(t) * (drive @ y),
-                                     t_span, x0, samples, rtol=rtol, atol=atol,
-                                     max_step=max_step)
-        solver.append(stats)
+        xs, _, solver = solve_sampled(lambda t, y: gen @ y + pump.envelope(t) * (drive @ y),
+                                      t_span, x0, samples, rtol=rtol, atol=atol,
+                                      pulse=pump.window)
+    else:
+        xs, solver = propagate_sampled(gen, x0, t_span[0], samples), []
     rhos = _from_real(xs, dim)
 
     drift = float(np.abs(xs[:, :dim].sum(axis=1) - 1.0).max())
     eigs = np.linalg.eigvalsh(rhos).min(axis=1)   # reads the lower triangle only
     k = int(np.argmin(eigs))
     if check and drift > 1e-6:
-        raise MasterEquationAccuracyError(
-            f"|Tr rho - 1| reached {drift:.3e} (> 1e-6)")
+        raise MasterEquationAccuracyError(f"|Tr rho - 1| reached {drift:.3e} (> 1e-6)")
     if check and eigs[k] < -1e-6:
         raise PositivityViolationError(
             f"eigenvalue {eigs[k]:.3e} < -1e-6 at t={samples[k]:.6g}")

@@ -9,6 +9,8 @@ polarization, Z the per-nucleus inversion (Z = -1 in the ground state):
 
 The Z equation's bracket is purely imaginary, so Z stays real; the state is
 integrated as five real components and Z never acquires an imaginary part.
+The drive E(t) is a Gaussian kick (params.DriveProfile); solve_sampled caps
+the step through its window and runs the free evolution after it uncapped.
 
 A Rabi scan is self-similar: in tau = t / t_end(N) every point has its kick
 at nearly the same tau and the same number of periods in [0, 1].  So
@@ -29,10 +31,9 @@ import numpy as np
 
 from ._fit import fit_line
 from ._integrate import solve_sampled
-from .params import ModelParams, TimeSeries
+from .params import DriveProfile, ModelParams, TimeSeries
 
 __all__ = [
-    "DriveProfile",
     "MeanFieldState",
     "OverdampedSignalError",
     "integrate_mbe",
@@ -57,39 +58,6 @@ class OverdampedSignalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DriveProfile:
-    """Cavity drive envelope E(t).
-
-    kind "gaussian": amplitude * exp(-(t-center)^2 / (2 width^2))
-    kind "constant": amplitude
-    kind "off":      0
-    amplitude may be complex.
-    """
-
-    amplitude: complex = 0.0
-    center: float = 0.0
-    width: float = 1.0
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "constant", "off"):
-            raise ValueError(f"unknown drive kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.width > 0:
-            raise ValueError(f"gaussian drive needs width > 0, got {self.width}")
-
-    def envelope(self, t: float) -> complex:
-        if self.kind == "off":
-            return 0.0
-        if self.kind == "constant":
-            return self.amplitude
-        x = (t - self.center) / self.width
-        return self.amplitude * math.exp(-0.5 * x * x)
-
-
-OFF = DriveProfile(kind="off")
-
-
-@dataclass(frozen=True)
 class MeanFieldState:
     alpha: complex
     polarization: complex
@@ -107,11 +75,11 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
     runs holds (params, drive, init, scale) per run; the solve's time s runs
     over t_span, and run b sits at its own time scale_b * s, so its equations
     are those of integrate_mbe times scale_b.  The state stacks the five
-    components of every run, component by component.  A gaussian drive bounds
-    the step through the pulses, to half the narrowest mapped width, up to the
-    latest mapped pulse end; the rest runs unconstrained.  Returns the
-    samples at np.linspace(*t_span, n_samples), an array (runs, n_samples, 5),
-    and the solve_sampled stats of each segment.
+    components of every run, component by component.  The drives' windows
+    (DriveProfile.window), mapped to the shared time, merge into one: the
+    step is capped by the narrowest mapped cap up to the latest mapped end.
+    Returns the samples at np.linspace(*t_span, n_samples), an array
+    (runs, n_samples, 5), and the solve_sampled stats of each segment.
     """
     ps, drives, inits, scales = zip(*runs)
     kappa, gamma, g, n = (np.array([getattr(p, k) for p in ps], dtype=float)
@@ -143,35 +111,20 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
     y0 = np.array([[complex(s.alpha).real, complex(s.alpha).imag,
                     complex(s.polarization).real, complex(s.polarization).imag,
                     float(s.inversion)] for s in inits]).T.ravel()
-    t0, t1 = t_span
-    samples = np.linspace(t0, t1, int(n_samples))
+    samples = np.linspace(*t_span, int(n_samples))
 
-    # gaussian drives: resolve the pulses with a bounded step, then run free
-    pulses = [((d.center + 6.0 * d.width) / k, d.width / k)
-              for d, k in scaled_drives if d.kind == "gaussian" and d.amplitude != 0]
-    t_pulse = min(t1, max((end for end, _ in pulses), default=t0))
-    if t_pulse > t0:
-        tail = samples[samples > t_pulse]
-        values, y_pulse, stats = solve_sampled(
-            rhs, (t0, t_pulse), y0, samples[samples <= t_pulse],
-            rtol=rtol, atol=atol, max_step=min(w for _, w in pulses) / 2.0,
-        )
-        solver = [stats]
-        if tail.size:
-            ys_tail, _, stats = solve_sampled(rhs, (t_pulse, t1), y_pulse, tail,
-                                              rtol=rtol, atol=atol)
-            values = np.concatenate([values, ys_tail])
-            solver.append(stats)
-    else:
-        values, _, stats = solve_sampled(rhs, (t0, t1), y0, samples, rtol=rtol, atol=atol)
-        solver = [stats]
+    # one pulse window for all runs: the latest mapped end, the narrowest mapped cap
+    windows = [(w[0] / k, w[1] / k) for d, k in scaled_drives if (w := d.window)]
+    pulse = (max(e for e, _ in windows), min(c for _, c in windows)) if windows else None
+    values, _, solver = solve_sampled(rhs, t_span, y0, samples, rtol=rtol, atol=atol,
+                                      pulse=pulse)
     stacked = values.reshape(len(samples), 5, len(runs)).transpose(2, 0, 1)
     return np.ascontiguousarray(stacked), solver
 
 
 def integrate_mbe(
     p: ModelParams,
-    drive: DriveProfile = OFF,
+    drive: DriveProfile = DriveProfile(),
     t_span: tuple[float, float] = (0.0, 1.0),
     init: MeanFieldState | None = None,
     *,
@@ -183,10 +136,10 @@ def integrate_mbe(
     """Integrate the mean-field equations over t_span.
 
     freeze_inversion pins Z at its initial value (linearized regime).  A
-    gaussian drive bounds the step size to width/2 through the pulse so a
-    narrow kick cannot be stepped over, then integrates the remainder
-    unconstrained.  meta["solver"] lists the solve_sampled stats of each
-    segment.  This is the one-run case of the solve rabi_scaling_fit stacks.
+    drive caps the step through its pulse window (DriveProfile.window) so a
+    narrow kick cannot be stepped over, and the rest runs uncapped.
+    meta["solver"] lists the solve_sampled stats of each segment.  This is
+    the one-run case of the solve rabi_scaling_fit stacks.
     """
     if init is None:
         init = MeanFieldState.ground()
@@ -287,7 +240,7 @@ def rabi_kick(p: ModelParams, *, target_alpha: float = 0.01) -> DriveProfile:
         raise ValueError("need at least one nonzero rate to size the kick")
     sigma = 0.05 / scale
     amp = target_alpha / (math.sqrt(2.0 * math.pi) * sigma)
-    return DriveProfile(amplitude=amp, center=6.0 * sigma, width=sigma, kind="gaussian")
+    return DriveProfile(amplitude=amp, center=6.0 * sigma, width=sigma)
 
 
 @dataclass(frozen=True)

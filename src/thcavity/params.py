@@ -7,13 +7,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ModelParams", "TimeSeries"]
+__all__ = ["DriveProfile", "ModelParams", "TimeSeries"]
 
 _FRAMES = ("rotating", "lab")
 
 # fields that must be nonnegative rates; mode energies are exempt because they
 # can be detunings of either sign in the rotating frame
 _RATE_FIELDS = ("g", "fwm_u", "pump_amp", "kappa1", "kappa2", "kappa_vuv", "gamma_minus")
+
+
+@dataclass(frozen=True)
+class DriveProfile:
+    """Gaussian drive envelope amplitude * exp(-(t - center)^2 / (2 width^2)).
+    amplitude may be complex; amplitude 0 is no drive."""
+
+    amplitude: complex = 0.0
+    center: float = 0.0
+    width: float = 1.0
+
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ValueError(f"drive width must be > 0, got {self.width}")
+
+    def envelope(self, t: float) -> complex:
+        x = (t - self.center) / self.width
+        return self.amplitude * math.exp(-0.5 * x * x)
+
+    @property
+    def window(self) -> tuple[float, float] | None:
+        """solve_sampled's pulse window (end, cap): steps of at most width / 2
+        up to center + 6 width (envelope e^-18); None when the drive is off."""
+        if self.amplitude == 0:
+            return None
+        return self.center + 6.0 * self.width, self.width / 2.0
 
 
 @dataclass(frozen=True)
@@ -72,10 +98,10 @@ class ModelParams:
                 if getattr(self, name) < 0:
                     raise ValueError(f"lab-frame {name} must be >= 0")
 
-    def pump_envelope(self, t: float) -> float:
-        """Gaussian pump amplitude at time t."""
-        x = (t - self.pump_center) / self.pump_width
-        return self.pump_amp * math.exp(-0.5 * x * x)
+    @property
+    def pump(self) -> DriveProfile:
+        """The Gaussian pump pulse on mode 1."""
+        return DriveProfile(self.pump_amp, self.pump_center, self.pump_width)
 
     def fwm_mismatch(self) -> float:
         """|2*omega1 - omega2 - omega_vuv|, the four-wave-mixing energy mismatch.

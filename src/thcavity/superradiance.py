@@ -34,8 +34,7 @@ import numpy as np
 
 from ._fit import fit_line, fit_loglog
 from ._integrate import propagate_sampled, solve_sampled
-from .maxwell_bloch import DriveProfile, OFF
-from .params import ModelParams, TimeSeries
+from .params import DriveProfile, ModelParams, TimeSeries
 
 __all__ = [
     "DickeSpace",
@@ -125,7 +124,7 @@ class EffectiveModel:
 
     drive_coupling: float
     gamma_eff: float
-    pump: DriveProfile = OFF
+    pump: DriveProfile = DriveProfile()
     bad_cavity_ratio: float | None = None
 
 
@@ -176,12 +175,12 @@ def calibrate_pump(drive_coupling: float, *, sigma: float,
         raise ValueError("sigma must be > 0")
     theta = math.acos(1.0 - 2.0 * fraction)
     eta0 = theta / (2.0 * drive_coupling * math.sqrt(2.0 * math.pi) * sigma)
-    return DriveProfile(amplitude=eta0, center=5.0 * sigma, width=sigma, kind="gaussian")
+    return DriveProfile(amplitude=eta0, center=5.0 * sigma, width=sigma)
 
 
 def pump_off_time(pump: DriveProfile) -> float:
     """Conventional switch-off instant: center + 4 width (envelope at e^-8)."""
-    if pump.kind != "gaussian" or pump.amplitude == 0:
+    if pump.amplitude == 0:
         return 0.0
     return pump.center + 4.0 * pump.width
 
@@ -191,8 +190,6 @@ def pump_fraction(model: EffectiveModel) -> float:
     full-pulse area theta = 2 |drive_coupling * amplitude| sqrt(2 pi) width,
     and 1 once theta passes pi (the Bloch vector then crosses the pole)."""
     pump = model.pump
-    if pump.kind != "gaussian":
-        return 0.0
     theta = 2.0 * abs(model.drive_coupling * pump.amplitude) * math.sqrt(2.0 * math.pi) * pump.width
     return math.sin(0.5 * min(theta, math.pi)) ** 2
 
@@ -280,14 +277,15 @@ def simulate_superradiance(
     intensity I(t) = gamma_eff <J+ J->, g1(t) = |<J->| / sqrt(<J+ J->)
     (coherence fraction, set to 0 where <J+J-> <= 1e-12).  The pump runs on
     DOP853 (rtol, atol) over the levels 0..K of ladder_cut, and is truncated at
-    pump_off_time (relative envelope e^-8).  If level K then holds more than
-    1e-14 the pump is rerun on the full ladder.  The free decay steps the
-    populations and the first off-diagonal of R exactly on the sample grid,
-    which needs n_samples >= 2.  meta records ladder_cut, top_population
-    (level K's population at the end of the pump), the health of R at that
-    point, pump_trace_drift = |Tr R - 1| and pump_min_eigenvalue (the
-    smallest eigenvalue of R, which rho shares), and solver, the
-    solve_sampled stats of each pump run (empty without a pump).
+    pump_off_time (relative envelope e^-8), inside the pump's window
+    (DriveProfile.window), so every step is capped at half the width.  If
+    level K then holds more than 1e-14 the pump is rerun on the full ladder.
+    The free decay steps the populations and the first off-diagonal of R
+    exactly on the sample grid, which needs n_samples >= 2.  meta records
+    ladder_cut, top_population (level K's population at the end of the
+    pump), the health of R at that point, pump_trace_drift = |Tr R - 1| and
+    pump_min_eigenvalue (the smallest eigenvalue of R, which rho shares), and
+    solver, the solve_sampled stats of each pump run (empty without a pump).
 
     Only the pump carries a tolerance error.  On figS1 (N = 50..500, f = 0.1)
     at the defaults, intensity is within 1.4e-10 of its peak and g1 within
@@ -309,7 +307,7 @@ def simulate_superradiance(
 
     t0, t1 = t_span
     samples = np.linspace(t0, t1, int(n_samples))
-    pumping = model.pump.kind == "gaussian" and model.pump.amplitude != 0 and t_off > t0
+    pumping = model.pump.amplitude != 0 and t_off > t0
     t_free = min(t_off, t1) if pumping else t0   # where the exact decay starts
     cdn = space.lowering_amplitudes()
     k_cut = ladder_cut(n, pump_fraction(model) if pumping else 0.0)
@@ -330,8 +328,8 @@ def simulate_superradiance(
         head, y_end, stats = solve_sampled(_pumped_rhs(model, cdn[:k + 1]), (t0, t_free),
                                            r0.ravel(), samples[samples <= t_free],
                                            observe=diagonals, rtol=rtol, atol=atol,
-                                           max_step=model.pump.width / 2.0)
-        solver.append(stats)
+                                           pulse=model.pump.window)
+        solver.extend(stats)
         return head, y_end.reshape(k + 1, k + 1)
 
     head, r_free = pump(k_cut)

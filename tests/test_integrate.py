@@ -51,30 +51,43 @@ def test_end_state_is_the_recorded_state_at_t_end(t_end, n_samples):
 
 
 def scipy_solve(rhs, t_span, y0, samples, *, observe=None, rtol=1e-8,
-                atol=1e-10, max_step=np.inf):
+                atol=1e-10, pulse=None):
     """The sampler as it was before batching, on scipy's DOP853: one scalar
-    dense-output call per sample.  The oracle of solve_sampled; returns
-    (values, y_end, accepted steps, RHS calls)."""
+    dense-output call per sample.  A pulse window (end, cap) runs as two scipy
+    solves: capped at cap over (t0, end), then a fresh uncapped one over
+    (end, t1) from the first one's dense output at end; a window that ends
+    past t1 leaves the capped one, one that ends before t0 the uncapped one.
+    The oracle of solve_sampled; returns (values, y_end, (accepted steps, RHS
+    calls) per segment)."""
     t0, t1 = t_span
-    solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
+    segments = [(t0, t1, np.inf)]
+    if pulse is not None:
+        end, cap = pulse
+        segments = [(a, b, h) for a, b, h in [(t0, min(end, t1), cap),
+                                              (max(end, t0), t1, np.inf)] if b > a]
     out = []
     i = 0
     while i < samples.size and samples[i] <= t0:
         out.append(observe(t0, y0) if observe is not None else np.array(y0, copy=True))
         i += 1
-    steps = 0
-    while solver.status == "running":
-        if solver.step() is not None:
-            raise IntegrationFailure("scipy's DOP853 failed", t=solver.t)
-        steps += 1
-        dense = None
-        if i < samples.size and samples[i] <= solver.t:
-            dense = solver.dense_output()
-            while i < samples.size and samples[i] <= solver.t:
-                ys = dense(samples[i])
-                out.append(observe(samples[i], ys) if observe is not None else ys)
-                i += 1
-    y_end = (dense or solver.dense_output())(t1)
+    y_end = y0
+    counts = []
+    for a, b, max_step in segments:
+        solver = DOP853(rhs, a, y_end, b, rtol=rtol, atol=atol, max_step=max_step)
+        steps = 0
+        while solver.status == "running":
+            if solver.step() is not None:
+                raise IntegrationFailure("scipy's DOP853 failed", t=solver.t)
+            steps += 1
+            dense = None
+            if i < samples.size and samples[i] <= solver.t:
+                dense = solver.dense_output()
+                while i < samples.size and samples[i] <= solver.t:
+                    ys = dense(samples[i])
+                    out.append(observe(samples[i], ys) if observe is not None else ys)
+                    i += 1
+        y_end = (dense or solver.dense_output())(b)
+        counts.append((steps, solver.nfev))
     while i < samples.size:
         out.append(observe(samples[i], solver.y) if observe is not None
                    else np.array(solver.y, copy=True))
@@ -83,7 +96,12 @@ def scipy_solve(rhs, t_span, y0, samples, *, observe=None, rtol=1e-8,
         values = [np.asarray(comp) for comp in zip(*out)]
     else:
         values = np.asarray(out)
-    return values, y_end, steps, solver.nfev
+    return values, y_end, counts
+
+
+def segment_counts(stats):
+    """(steps, nfev) of each segment of a solve_sampled run."""
+    return [(s["steps"], s["nfev"]) for s in stats]
 
 
 def per_sample_solve(*args, **kwargs):
@@ -93,10 +111,11 @@ def per_sample_solve(*args, **kwargs):
 
 def assert_same_run(args, kwargs, result):
     """solve_sampled's (values, y_end, stats) for args, kwargs is scipy's run
-    to the bit: every value, the end state, the steps and the RHS calls."""
+    to the bit: every value, the end state, and the steps and the RHS calls of
+    each segment."""
     values, y_end, stats = result
-    ref, ref_end, steps, nfev = scipy_solve(*args, **kwargs)
-    assert (stats["steps"], stats["nfev"]) == (steps, nfev)
+    ref, ref_end, counts = scipy_solve(*args, **kwargs)
+    assert segment_counts(stats) == counts
     assert np.array_equal(y_end, ref_end) and y_end.dtype == ref_end.dtype
     assert type(values) is type(ref)
     pairs = zip(values, ref) if isinstance(ref, list) else [(values, ref)]
@@ -123,12 +142,11 @@ def test_maxwell_bloch_kick_and_free_segments_are_scipys_run(monkeypatch):
     kick = rabi_kick(p)
     calls = recorded_solves(monkeypatch, maxwell_bloch, lambda: integrate_mbe(
         p, kick, (0.0, kick.center + 4.0), n_samples=500))
-    assert len(calls) == 2                        # the kick, then the free run
-    assert calls[0][1]["max_step"] == kick.width / 2.0
-    assert "max_step" not in calls[1][1]
-    for args, kwargs, result in calls:
-        assert result[2]["steps"] > 3
-        assert_same_run(args, kwargs, result)
+    assert len(calls) == 1                        # one solve: the kick, then the free run
+    args, kwargs, result = calls[0]
+    assert kwargs["pulse"] == kick.window == (kick.center + 6.0 * kick.width, kick.width / 2.0)
+    assert len(result[2]) == 2 and all(s["steps"] > 3 for s in result[2])
+    assert_same_run(args, kwargs, result)
 
 
 def test_dicke_pump_is_scipys_run(monkeypatch):
@@ -141,7 +159,9 @@ def test_dicke_pump_is_scipys_run(monkeypatch):
     (rhs, *_), kwargs, result = calls[0]
     assert rhs.__qualname__.endswith("rhs_pumped")
     assert kwargs["observe"].__name__ == "diagonals"
-    assert result[2]["steps"] > 3 and len(result[0]) == 2
+    assert kwargs["pulse"] == model.pump.window
+    (stats,) = result[2]                          # the cut at t_off is inside the window
+    assert stats["steps"] > 3 and len(result[0]) == 2
     assert_same_run(calls[0][0], kwargs, result)
 
 
@@ -150,27 +170,59 @@ def test_pumped_master_equation_is_scipys_run(monkeypatch):
                     pump_amp=3.0, pump_center=0.2, pump_width=0.05)
     a1 = mode_operators()["a1"]
     h = (build_hamiltonian_operators(replace(p, pump_amp=0.0), collective_coupling=True),
-         project_to_basis(a1 + a1.T), p.pump_envelope)
+         project_to_basis(a1 + a1.T), p.pump)
     rho0 = DensityMatrix.pure(h[0].shape[0], basis_index((0, 0, 1, 0)))
     calls = recorded_solves(monkeypatch, lindblad, lambda: integrate_master(
-        h, rho0, standard_collapse_ops(p, collective_coupling=True), (0.0, 0.5),
-        n_samples=40, max_step=p.pump_width / 2.0))
+        h, rho0, standard_collapse_ops(p, collective_coupling=True), (0.0, 0.8),
+        n_samples=40))
     assert len(calls) == 1
     args, kwargs, result = calls[0]
-    assert result[2]["steps"] > 3
+    assert kwargs["pulse"] == p.pump.window == (0.5, 0.025)
+    assert len(result[2]) == 2 and all(s["steps"] > 3 for s in result[2])
     assert_same_run(args, kwargs, result)
 
 
-@pytest.mark.parametrize("max_step", [np.inf, 0.05])
-def test_complex_state_is_scipys_run(max_step):
+@pytest.mark.parametrize("cap", [np.inf, 0.05])
+def test_complex_state_is_scipys_run(cap):
     # a damped spin-1 precession: y' = (-i H - gamma) y in complex arithmetic
     h = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.5j], [0.0, -0.5j, -1.0]])
     gen = -1j * h - 0.2 * np.eye(3)
     y0 = np.array([1.0, 0.5j, -0.25 + 0.1j])
     args = (lambda t, y: gen @ y * math.cos(t), (0.0, 6.0), y0, np.linspace(0.0, 6.0, 61))
-    result = solve_sampled(*args, max_step=max_step)
-    assert result[0].dtype == complex and result[2]["steps"] > 3
-    assert_same_run(args, {"max_step": max_step}, result)
+    result = solve_sampled(*args, pulse=(2.5, cap))
+    assert result[0].dtype == complex and all(s["steps"] > 3 for s in result[2])
+    assert_same_run(args, {"pulse": (2.5, cap)}, result)
+
+
+# (window, segments): ends inside t_span, past t1, before t0
+WINDOWS = {
+    "inside": ((3.0, 0.05), 2),
+    "past-t1": ((9.0, 0.05), 1),
+    "before-t0": ((-1.0, 0.05), 1),
+}
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("observer", ["state", "tuple"])
+def test_a_pulse_window_is_scipys_capped_then_uncapped_run(window, observer):
+    """The one rule for a pulse: solve_sampled caps the step up to the
+    window's end and restarts uncapped from the dense-output state there, as
+    two scipy DOP853 solves do, to the bit, per segment."""
+    pulse, n_segments = WINDOWS[window]
+    args = (oscillator, (0.0, 8.0), np.array([1.0, 0.0]),
+            np.linspace(0.0, 8.0, 33))        # a sample exactly at the end 3.0
+    kwargs = {"observe": OBSERVERS[observer], "pulse": pulse}
+    result = solve_sampled(*args, **kwargs)
+    assert len(result[2]) == n_segments
+    assert_same_run(args, kwargs, result)
+    # the capped segment steps at most cap, the uncapped one is not held to it
+    steps = [s["steps"] for s in result[2]]
+    if window == "inside":
+        assert steps[0] >= 3.0 / 0.05 > steps[1]
+    elif window == "past-t1":
+        assert steps[0] >= 8.0 / 0.05
+    else:
+        assert steps[0] < 8.0 / 0.05
 
 
 def test_an_rtol_below_100_eps_is_clamped_as_scipy_does():
@@ -182,7 +234,7 @@ def test_an_rtol_below_100_eps_is_clamped_as_scipy_does():
         assert_same_run(args, {"rtol": 1e-20}, result)
     clamped = solve_sampled(*args, rtol=100 * np.finfo(float).eps)
     assert np.array_equal(result[0], clamped[0])
-    assert (result[2]["steps"], result[2]["nfev"]) == (clamped[2]["steps"], clamped[2]["nfev"])
+    assert segment_counts(result[2]) == segment_counts(clamped[2])
 
 
 def test_step_size_underflow_fails_where_scipy_does():
@@ -208,15 +260,16 @@ def test_a_nan_step_size_fails_instead_of_hanging():
 
 
 @pytest.mark.parametrize("bad, match", [
-    ({"max_step": 0.0}, "max_step"),
-    ({"max_step": -1.0}, "max_step"),
-    ({"max_step": math.nan}, "max_step"),
+    ({"pulse": (0.5, 0.0)}, "cap"),
+    ({"pulse": (0.5, -1.0)}, "cap"),
+    ({"pulse": (0.5, math.nan)}, "cap"),
+    ({"pulse": (math.nan, 0.1)}, "end"),
     ({"atol": -1e-12}, "atol"),
     ({"y0": np.array([1.0, math.nan])}, "finite"),
     ({"y0": np.array([1.0, math.inf])}, "finite"),
     ({"y0": np.ones((2, 1))}, "1-d"),
     ({"y0": np.empty(0)}, "1-d"),
-], ids=["max_step=0", "max_step<0", "max_step=nan", "atol<0", "y0-nan", "y0-inf",
+], ids=["cap=0", "cap<0", "cap=nan", "end=nan", "atol<0", "y0-nan", "y0-inf",
         "y0-2d", "y0-empty"])
 def test_bad_arguments_raise_value_error(bad, match):
     kw = {"y0": np.array([1.0, 0.0]), **bad}
@@ -254,15 +307,15 @@ OBSERVERS = {
 }
 
 
-@pytest.mark.parametrize("max_step", [np.inf, 0.05])
+@pytest.mark.parametrize("cap", [np.inf, 0.05])
 @pytest.mark.parametrize("observer", sorted(OBSERVERS))
-def test_batched_sampling_is_the_per_sample_loop(max_step, observer):
+def test_batched_sampling_is_the_per_sample_loop(cap, observer):
     """DOP853's interpolant is elementwise, so a batched sample has the bits
-    of the scalar call."""
+    of the scalar call, on both sides of a pulse window's end."""
     observe = OBSERVERS[observer]
     for name, (rhs, y0, span) in SYSTEMS.items():
         for grid, samples in grids(*span).items():
-            kw = dict(observe=observe, max_step=max_step)
+            kw = dict(observe=observe, pulse=(span[0] + 0.4 * (span[1] - span[0]), cap))
             values, y_end, _ = solve_sampled(rhs, span, y0, samples, **kw)
             ref, ref_end = per_sample_solve(rhs, span, y0, samples, **kw)
             assert np.array_equal(y_end, ref_end), (name, grid)
@@ -297,12 +350,13 @@ def test_stats_count_the_segment():
         calls[0] += 1
         return oscillator(t, y)
 
-    _, _, stats = solve_sampled(rhs, (0.0, 8.0), np.array([1.0, 0.0]),
-                                np.linspace(0.0, 8.0, 9), max_step=0.25)
-    assert set(stats) == {"steps", "nfev", "wall_s"}
-    assert stats["steps"] >= 32          # 8.0 / max_step
-    assert stats["nfev"] == calls[0]
-    assert stats["wall_s"] > 0.0
+    _, _, (capped, free) = solve_sampled(rhs, (0.0, 8.0), np.array([1.0, 0.0]),
+                                         np.linspace(0.0, 8.0, 9), pulse=(4.0, 0.25))
+    assert set(capped) == set(free) == {"steps", "nfev", "wall_s"}
+    assert capped["steps"] >= 16         # 4.0 / cap
+    assert free["steps"] < capped["steps"]
+    assert capped["nfev"] + free["nfev"] == calls[0]
+    assert capped["wall_s"] > 0.0 and free["wall_s"] > 0.0
 
 
 def test_nan_derivative_at_the_start_raises():

@@ -33,7 +33,7 @@ from thcavity.lindblad import (
     project_to_basis,
     standard_collapse_ops,
 )
-from thcavity.params import ModelParams
+from thcavity.params import DriveProfile, ModelParams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,7 +81,7 @@ def test_explicit_entries():
     assert h[1, 1] == pytest.approx(0.5 + 1.5)
     assert h[0, 1] == pytest.approx(SQRT2 * 0.8)                  # conversion vertex
     assert h[1, 2] == pytest.approx(p.g)
-    assert h[0, 3] == pytest.approx(SQRT2 * p.pump_envelope(0.0))
+    assert h[0, 3] == pytest.approx(SQRT2 * p.pump.envelope(0.0))
     assert h[5, 6] == pytest.approx(p.g)
     np.testing.assert_allclose(h, h.T)
 
@@ -145,7 +145,7 @@ def _kron_hamiltonian(p, t, rwa, collective_coupling, project):
     h = h + gc * (coupling + coupling.conj().T)
     fwm = av.conj().T @ a2q.conj().T @ a1 @ a1
     h = h + p.fwm_u * (fwm + fwm.conj().T)
-    h = h + p.pump_envelope(t) * (a1 + a1.conj().T)
+    h = h + p.pump.envelope(t) * (a1 + a1.conj().T)
     return project_to_basis(h) if project else h
 
 
@@ -288,22 +288,30 @@ def test_master_equation_is_linear():
 
 
 @pytest.mark.parametrize("driven", [False, True], ids=["static", "pumped"])
-def test_a_trace_off_one_is_reported_as_a_drift(driven):
+def test_a_trace_off_one_is_reported_as_a_drift(driven, spy_solves, monkeypatch):
     """Both runs keep the trace, so an initial trace of 2 stays 2: the check
-    reports |Tr rho - 1|, with no advice about tolerances, and unchecked the
-    run returns the same figure as trace_drift."""
+    reports |Tr rho - 1|, with no advice about tolerances, before anything is
+    propagated, and unchecked the run returns the same figure as
+    trace_drift."""
     p = params(g=4.0, kappa_vuv=1.0, fwm_u=2.0, pump_amp=2.0, pump_center=0.2,
                pump_width=0.05)
     h0 = build_hamiltonian_operators(replace(p, pump_amp=0.0))
     a1 = mode_operators()["a1"]
-    h = (h0, project_to_basis(a1 + a1.T), p.pump_envelope) if driven else h0
+    h = (h0, project_to_basis(a1 + a1.T), p.pump) if driven else h0
     rho0 = 2.0 * DensityMatrix.pure(DIM, basis_index((0, 0, 1, 0))).matrix
-    kw = dict(t_span=(0.0, 0.5), n_samples=20, max_step=0.025)
+    kw = dict(t_span=(0.0, 0.5), n_samples=20)
+    solves = spy_solves(lindblad)
+    propagations = []
+    exact = lindblad.propagate_sampled
+    monkeypatch.setattr(lindblad, "propagate_sampled",
+                        lambda *a: propagations.append(a) or exact(*a))
     with pytest.raises(MasterEquationAccuracyError,
                        match=r"^\|Tr rho - 1\| reached 1\.000e\+00 \(> 1e-6\)$"):
         integrate_master(h, rho0, standard_collapse_ops(p), **kw)
+    assert solves == [] and propagations == []
     ts = integrate_master(h, rho0, standard_collapse_ops(p), check=False, **kw)
     assert ts.meta["trace_drift"] == pytest.approx(1.0, abs=1e-9)
+    assert (len(solves), len(propagations)) == ((1, 0) if driven else (0, 1))
 
 
 def test_time_dependent_pump_moves_population():
@@ -311,16 +319,17 @@ def test_time_dependent_pump_moves_population():
                g=0.0, kappa_vuv=0.0, gamma_minus=0.0)
     a1 = mode_operators()["a1"]
     h = (build_hamiltonian_explicit(replace(p, pump_amp=0.0)),
-         project_to_basis(a1 + a1.T), p.pump_envelope)
+         project_to_basis(a1 + a1.T), p.pump)
     rho0 = DensityMatrix.pure(DIM, basis_index((1, 0, 0, 0)))
-    ts = integrate_master(h, rho0, [], (0.0, 1.0), n_samples=80, max_step=0.05)
+    ts = integrate_master(h, rho0, [], (0.0, 1.0), n_samples=80)
     start = population_series(ts, basis_index((1, 0, 0, 0)))
     fed = population_series(ts, basis_index((2, 0, 0, 0)))
     assert start[-1] < 0.999
     assert fed[-1] > 1e-4
     assert ts.meta["trace_drift"] < 1e-9
     (stats,) = ts.meta["solver"]
-    assert stats["steps"] >= 20 and stats["nfev"] > stats["steps"]   # max_step 0.05
+    # the window ends past t_end: one segment, capped at width / 2 = 0.075
+    assert stats["steps"] >= 1.0 / 0.075 and stats["nfev"] > stats["steps"]
 
 
 def test_expectation_matches_manual_trace():
@@ -366,9 +375,20 @@ def test_integrate_master_input_validation():
         with pytest.raises(ValueError, match="increasing"):
             integrate_master(np.eye(3), np.eye(3) / 3.0, [], span)
     with pytest.raises(ValueError, match="match"):
-        integrate_master((np.eye(3), np.eye(4), math.cos), np.eye(3) / 3.0)
-    with pytest.raises(TypeError, match=r"\(h0, h1, envelope\)"):
-        integrate_master(lambda t: np.eye(3), np.eye(3) / 3.0)
+        integrate_master((np.eye(3), np.eye(4), DriveProfile(1.0)), np.eye(3) / 3.0)
+    for h in (lambda t: np.eye(3), (np.eye(3), np.eye(3), math.cos)):
+        with pytest.raises(TypeError, match=r"\(h0, h1, pump\), pump a DriveProfile"):
+            integrate_master(h, np.eye(3) / 3.0)
+
+
+def test_a_complex_pump_amplitude_is_rejected(spy_solves):
+    """The real coordinates hold only a real drive: a complex amplitude would
+    lose its imaginary part, so it is an error before any solve."""
+    calls = spy_solves(lindblad)
+    pump = DriveProfile(amplitude=1.0 + 0.5j, center=0.2, width=0.05)
+    with pytest.raises(ValueError, match=r"pump amplitude must be real, got \(1\+0\.5j\)"):
+        integrate_master((np.eye(3), np.eye(3), pump), np.eye(3) / 3.0)
+    assert calls == []
 
 
 def test_unitary_evolution_preserves_purity():
@@ -550,7 +570,7 @@ def test_pumped_config_matches_the_callable_hamiltonian_oracle(tmp_path):
     ref = oracle_run(lambda t: build_hamiltonian_operators(p, t, collective_coupling=True),
                      rho0, standard_collapse_ops(p, collective_coupling=True),
                      (0.0, cfg["time"]["t_end"]), cfg["time"]["n_samples"],
-                     rtol=1e-13, atol=1e-15, max_step=p.pump_width / 2.0)
+                     rtol=1e-13, atol=1e-15, pulse=p.pump.window)
     pops = np.einsum("tii->ti", ref).real
     purity = np.einsum("tij,tji->t", ref, ref).real
     assert np.abs(rows[:, 1:-1] - pops).max() < 1e-10

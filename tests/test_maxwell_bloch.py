@@ -9,7 +9,6 @@ from thcavity import maxwell_bloch
 from thcavity._integrate import solve_sampled
 from thcavity.maxwell_bloch import (
     MBE_COLUMNS,
-    DriveProfile,
     MeanFieldState,
     OverdampedSignalError,
     alpha_series,
@@ -23,7 +22,7 @@ from thcavity.maxwell_bloch import (
     rabi_kick,
     rabi_scaling_fit,
 )
-from thcavity.params import ModelParams, TimeSeries
+from thcavity.params import DriveProfile, ModelParams, TimeSeries
 
 
 def params(**kw):
@@ -138,10 +137,8 @@ def test_drive_profile_shapes():
     g = DriveProfile(amplitude=2.0, center=1.0, width=0.5)
     assert g.envelope(1.0) == 2.0
     assert g.envelope(1.5) == pytest.approx(2.0 * math.exp(-0.5))
-    assert DriveProfile(amplitude=3.0, kind="constant").envelope(9.0) == 3.0
-    assert DriveProfile(kind="off").envelope(0.0) == 0.0
-    with pytest.raises(ValueError, match="kind"):
-        DriveProfile(kind="square")
+    assert g.window == (1.0 + 6.0 * 0.5, 0.25)
+    assert DriveProfile().envelope(0.0) == 0.0 and DriveProfile().window is None
     with pytest.raises(ValueError, match="width"):
         DriveProfile(amplitude=1.0, width=0.0)
 
@@ -155,18 +152,21 @@ def test_kick_deposits_the_target_amplitude():
 
 
 def test_kick_and_free_run_are_each_solved_once(spy_solves):
-    """The free run starts from the pulse solve's end state, bit for bit equal
-    to the former path that appended the seam time to the pulse samples."""
+    """One solve, two segments: the free run starts from the kick segment's
+    end state, bit for bit equal to a sample at the seam time of a kick solve
+    that ends there."""
     calls = spy_solves(maxwell_bloch)
     p = params(n_nuclei=25)
     kick = rabi_kick(p)
     ts = integrate_mbe(p, kick, (0.0, 30.0), n_samples=500)
 
-    assert len(calls) == 2
-    (rhs, span_k, y0, head, kw_k), (_, span_f, _, tail, kw_f) = calls
-    assert span_k[1] == span_f[0] == kick.center + 6.0 * kick.width
-    ys, _, _ = solve_sampled(rhs, span_k, y0, np.append(head, span_k[1]), **kw_k)
-    ys_tail, _, _ = solve_sampled(rhs, span_f, ys[-1], tail, **kw_f)
+    (rhs, span, y0, samples, kw), = calls
+    assert kw["pulse"] == kick.window
+    seam = kick.center + 6.0 * kick.width
+    head, tail = samples[samples <= seam], samples[samples > seam]
+    ys, _, _ = solve_sampled(rhs, (span[0], seam), y0, np.append(head, seam), **kw)
+    ys_tail, _, _ = solve_sampled(rhs, (seam, span[1]), ys[-1], tail,
+                                  rtol=kw["rtol"], atol=kw["atol"])
     assert np.array_equal(ts.values, np.concatenate([ys[:-1], ys_tail]))
     assert [sorted(s) for s in ts.meta["solver"]] == [["nfev", "steps", "wall_s"]] * 2
 
@@ -234,16 +234,17 @@ def test_stacked_scan_is_one_solve_per_segment(spy_solves):
     calls = spy_solves(maxwell_bloch)
     p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
     fit = rabi_scaling_fit([16, 25, 36, 49], p, n_periods=6.0, n_samples=600)
-    assert len(calls) == 2                  # the kicks, then the free run
-    (_, span_k, y0, _, kw_k), (_, span_f, _, _, _) = calls
+    (_, span, y0, _, kw), = calls            # the kicks, then the free run
     assert y0.shape == (20,)
     kicks = [tr.meta["drive"] for tr in fit.traces]
     t_ends = [tr.times[-1] for tr in fit.traces]
     mapped = [(k.center + 6.0 * k.width) * t_ends[0] / t for k, t in zip(kicks, t_ends)]
-    assert span_k[1] == span_f[0] == pytest.approx(max(mapped), rel=1e-12)
     widths = [k.width * t_ends[0] / t for k, t in zip(kicks, t_ends)]
-    assert kw_k["max_step"] == pytest.approx(min(widths) / 2.0, rel=1e-12)
-    assert span_f[1] == t_ends[0]
+    end, cap = kw["pulse"]
+    assert end == pytest.approx(max(mapped), rel=1e-12)
+    assert cap == pytest.approx(min(widths) / 2.0, rel=1e-12)
+    assert span == (0.0, t_ends[0])
+    assert len(fit.traces[0].meta["solver"]) == 2
 
 
 # (steps, nfev) per segment and sha256 of the sampled values of integrate_mbe

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thcavity.params import ModelParams, TimeSeries
+from thcavity.params import DriveProfile, ModelParams, TimeSeries
 
 
 def make(**kw):
@@ -57,9 +57,11 @@ def test_pump_width_positive():
 
 def test_pump_envelope():
     p = make(pump_amp=3.0, pump_center=1.0, pump_width=0.5)
-    assert p.pump_envelope(1.0) == 3.0
+    assert p.pump == DriveProfile(amplitude=3.0, center=1.0, width=0.5)
+    assert p.pump.envelope(1.0) == 3.0
     # one width out the envelope is down by exp(-1/2)
-    assert p.pump_envelope(1.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
+    assert p.pump.envelope(1.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
+    assert make().pump.window is None           # pump_amp 0 is no pump
 
 
 def test_fwm_mismatch():
