@@ -104,7 +104,7 @@ _MISSING = object()
 
 class _Field:
     def __init__(self, kind, *, required=True, default=_MISSING, choices=None,
-                 item=None, children=None, min_len=0, positive=False,
+                 item=None, children=None, min_distinct=0, positive=False,
                  nonneg=False, minimum=None):
         self.kind = kind
         self.required = required
@@ -112,7 +112,7 @@ class _Field:
         self.choices = choices
         self.item = item
         self.children = children
-        self.min_len = min_len
+        self.min_distinct = min_distinct
         self.positive = positive
         self.nonneg = nonneg
         self.minimum = minimum
@@ -169,9 +169,11 @@ def _apply(field, value, path):
     if field.kind == "list":
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list")
-        if len(value) < field.min_len:
-            raise ConfigError(f"{path}: need at least {field.min_len} entries")
-        return [_apply(field.item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        out = [_apply(field.item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        if len(set(out)) < field.min_distinct:
+            raise ConfigError(f"{path}: need at least {field.min_distinct} distinct "
+                              f"values, got {sorted(set(out))}")
+        return out
 
     if field.kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -231,7 +233,7 @@ def _model_sec(required, optional=()):
     return _sec(children)
 
 
-def _tol_sec(n_samples, min_samples=1):
+def _tol_sec(n_samples, min_samples):
     # the section keeps its name; the solvers' tolerances are their own defaults
     return _sec({"n_samples": _int(required=False, default=n_samples,
                                    minimum=min_samples)},
@@ -256,16 +258,17 @@ _SCHEMAS = {
         "scan": _sec({
             "delta_min": _num(),
             "delta_max": _num(),
-            "n_points": _int(required=False, default=1001, positive=True),
+            "n_points": _int(required=False, default=1001, minimum=2),
         }),
     }),
     "rabi": _root({
         "model": _model_sec(("g", "kappa_vuv", "gamma_minus")),
-        "scan": _sec({"n_nuclei": _list(_int(positive=True), min_len=4)}),
+        "scan": _sec({"n_nuclei": _list(_int(positive=True), min_distinct=4)}),
         "kick": _sec({
             "n_periods": _num(required=False, default=8.0, positive=True),
         }, required=False, default={"n_periods": 8.0}),
-        "tolerances": _tol_sec(4000),
+        # the peak extraction needs 8 samples
+        "tolerances": _tol_sec(4000, min_samples=8),
         "emit_traces": _bool(required=False, default=False),
     }),
     "lindblad11": _root({
@@ -274,7 +277,7 @@ _SCHEMAS = {
             optional=("omega1", "omega2", "omega_vuv", "e_nuc", "fwm_u",
                       "pump_amp", "pump_center", "pump_width",
                       "kappa1", "kappa2", "frame")),
-        "initial_state": _list(_int(nonneg=True), min_len=4),
+        "initial_state": _list(_int(nonneg=True)),
         "time": _sec({
             "t_end": _num(positive=True),
             "n_samples": _int(required=False, default=400, positive=True),
@@ -287,7 +290,7 @@ _SCHEMAS = {
     }),
     "superradiance": _root({
         "model": _model_sec(("g", "kappa_vuv", "gamma_minus", "fwm_u")),
-        "runs": _sec({"n_nuclei": _list(_int(positive=True), min_len=1)}),
+        "runs": _sec({"n_nuclei": _list(_int(positive=True), min_distinct=1)}),
         "pump": _sec({
             "sigma": _num(positive=True),
             "fraction": _num(positive=True),
@@ -297,7 +300,7 @@ _SCHEMAS = {
     }),
     "lifetime": _root({
         "model": _model_sec(("g", "gamma_minus", "n_nuclei", "fwm_u")),
-        "scan": _sec({"kappa_vuv": _list(_num(positive=True), min_len=3)}),
+        "scan": _sec({"kappa_vuv": _list(_num(positive=True), min_distinct=3)}),
         "pump": _sec({
             "sigma": _num(positive=True),
             "fraction": _num(positive=True),
@@ -312,10 +315,11 @@ _SCHEMAS = {
             "t_start": _num(required=False),
             "t_end": _num(required=False),
         }),
-        "scan": _sec({"rate_k": _list(_num(positive=True), min_len=3)},
+        "scan": _sec({"rate_k": _list(_num(positive=True), min_distinct=3)},
                      required=False),
+        # a jump time needs 20 samples
         "sampling": _sec({
-            "n_samples": _int(required=False, default=4001, positive=True),
+            "n_samples": _int(required=False, default=4001, minimum=20),
         }, required=False, default={"n_samples": 4001}),
     }),
     "phase-diagram": _root({
@@ -324,12 +328,12 @@ _SCHEMAS = {
             "kappa": _sec({
                 "min": _num(positive=True),
                 "max": _num(positive=True),
-                "n": _int(required=False, default=60, positive=True),
+                "n": _int(required=False, default=60, minimum=2),
             }),
             "sqrt_n": _sec({
                 "min": _num(positive=True),
                 "max": _num(positive=True),
-                "n": _int(required=False, default=60, positive=True),
+                "n": _int(required=False, default=60, minimum=2),
             }),
         }),
         "snap_integer_n": _bool(required=False, default=False),
@@ -390,10 +394,8 @@ def _run_spectrum(cfg, out, prefix, map_fn):
     scan = cfg["scan"]
     if not scan["delta_max"] > scan["delta_min"]:
         raise ConfigError("scan.delta_max: must exceed scan.delta_min")
-    points = _build(spectrum_scan, "scan", cfg["omega"],
-                    (scan["delta_min"], scan["delta_max"], scan["n_points"]))
-    columns = np.array([(pt.detuning, pt.e_upper, pt.e_lower, pt.photon_fraction_lp,
-                         pt.nuclear_fraction_lp) for pt in points]).T
+    columns = _build(spectrum_scan, "scan", cfg["omega"],
+                     (scan["delta_min"], scan["delta_max"], scan["n_points"]))
     path = write_csv(out / f"{prefix}.csv",
                      ("delta", "e_upper", "e_lower", "c2_lp", "x2_lp"), columns)
     return [path], {}
@@ -563,9 +565,10 @@ def _run_sweep(cfg, out, prefix, map_fn):
     proto_cfg = cfg["protocol"]
 
     if "scan" in cfg:
-        if "rate_k" in proto_cfg:
-            raise ConfigError(
-                "protocol.rate_k: remove it when scan.rate_k is given")
+        # each scan run sets its own rate and the default window of that rate
+        for key in ("rate_k", "t_start", "t_end"):
+            if key in proto_cfg:
+                raise ConfigError(f"protocol.{key}: remove it when scan.rate_k is given")
         scan = jump_time_scan(proto_cfg["omega"], proto_cfg["delta0"],
                               cfg["scan"]["rate_k"],
                               min_samples=cfg["sampling"]["n_samples"],

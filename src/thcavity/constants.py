@@ -12,6 +12,3 @@ MU_0 = 1.25663706212e-6
 
 # reduced Planck constant, J*s
 HBAR = 1.054571817e-34
-
-# nuclear magneton, J/T
-MU_N = 5.0507837461e-27

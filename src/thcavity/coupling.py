@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import C, HBAR, MU_0, MU_N
+from .constants import C, HBAR, MU_0
 
 __all__ = [
     "NuclearTransition",
@@ -97,10 +97,6 @@ class DerivedCoupling:
     transition_moment: float  # J/T
     vacuum_field: float       # T
 
-    @property
-    def moment_in_nuclear_magnetons(self) -> float:
-        return self.transition_moment / MU_N
-
 
 def derived_coupling(t: NuclearTransition) -> DerivedCoupling:
     """Compute g both ways (closed form and mu*B/hbar) and require agreement.
@@ -127,25 +123,16 @@ class CollectiveRates:
     gamma_eff         gamma_minus + 4 N g^2 / kappa_vuv (bad-cavity collective decay)
     cooperativity     N g^2 / (kappa_vuv * gamma_minus)
     tau_eff_estimate  kappa_vuv / (4 N g^2), the collective emission time scale
-    lz_parameter      pi * (g sqrt(N))^2 / (k * delta0) when sweep fields given
     """
 
     omega_collective: float
     gamma_eff: float
     cooperativity: float
     tau_eff_estimate: float
-    lz_parameter: float | None = None
 
 
-def collective_rates(
-    g: float,
-    n_nuclei: int,
-    kappa_vuv: float,
-    gamma_minus: float,
-    *,
-    delta0: float | None = None,
-    rate_k: float | None = None,
-) -> CollectiveRates:
+def collective_rates(g: float, n_nuclei: int, kappa_vuv: float,
+                     gamma_minus: float) -> CollectiveRates:
     """Collective rates from the bare rates.  All rates in one consistent unit.
 
     n_nuclei = 0 is allowed and degrades gracefully (no collective enhancement).
@@ -170,18 +157,9 @@ def collective_rates(
     else:
         tau_est = math.inf
 
-    lz = None
-    if delta0 is not None or rate_k is not None:
-        if delta0 is None or rate_k is None:
-            raise ValueError("delta0 and rate_k must be given together")
-        if rate_k <= 0 or delta0 == 0:
-            raise ValueError("rate_k must be > 0 and delta0 nonzero")
-        lz = math.pi * omega_c**2 / (rate_k * abs(delta0))
-
     return CollectiveRates(
         omega_collective=omega_c,
         gamma_eff=gamma_eff,
         cooperativity=coop,
         tau_eff_estimate=tau_est,
-        lz_parameter=lz,
     )

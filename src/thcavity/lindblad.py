@@ -36,8 +36,6 @@ __all__ = [
     "standard_collapse_ops",
     "liouvillian",
     "integrate_master",
-    "expectation",
-    "expectation_series",
     "population_series",
 ]
 
@@ -117,8 +115,7 @@ _MODES = {
 }
 _A1, _A2, _AV, _SM = _MODES.values()
 _NUMBERS = tuple(_frozen(a.T @ a) for a in _MODES.values())
-_EXCHANGE_RWA = _plus_hc(_AV.T @ _SM)
-_EXCHANGE_FULL = _plus_hc(_AV.T @ _SM + _AV.T @ _SM.T)
+_EXCHANGE = _plus_hc(_AV.T @ _SM)
 _FWM = _plus_hc(_AV.T @ _A2.T @ _A1 @ _A1)
 _PUMP = _plus_hc(_A1)
 
@@ -151,19 +148,6 @@ class DensityMatrix:
         m[index, index] = 1.0
         return cls(m)
 
-    @classmethod
-    def from_state(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex)
-        norm = np.vdot(v, v).real
-        if norm <= 0:
-            raise ValueError("cannot form a density matrix from the zero vector")
-        v = v / math.sqrt(norm)
-        return cls(np.outer(v, v.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
@@ -173,9 +157,6 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         h = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(h).min())
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
     def validate(self, *, trace_tol=1e-9, herm_tol=1e-12, eig_floor=-1e-8):
         if self.hermiticity_defect() > herm_tol:
@@ -248,20 +229,17 @@ def project_to_basis(op: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian_operators(p: ModelParams, t: float = 0.0,
-                                *, rwa: bool = True,
-                                collective_coupling: bool = False,
+                                *, collective_coupling: bool = False,
                                 project: bool = True) -> np.ndarray:
     """Same Hamiltonian assembled from bosonic operators, then projected.
 
-    With rwa=True the VUV-nuclear coupling keeps only excitation-conserving
-    terms; rwa=False uses the full (a+adag)(s+sdag) product.  On the projected
-    11-state basis both agree identically (the counter-rotating terms map every
-    basis state outside the set), so the flag only matters with project=False.
+    The VUV-nuclear coupling keeps only the excitation-conserving terms;
+    project=False returns the 24-dim product-space operator.
     """
     n1, n2, nv, nn = _NUMBERS
     h = p.omega1 * n1 + p.omega2 * n2 + p.omega_vuv * nv + p.e_nuc * nn
     gc = p.g * math.sqrt(p.n_nuclei) if collective_coupling else p.g
-    h = h + gc * (_EXCHANGE_RWA if rwa else _EXCHANGE_FULL)
+    h = h + gc * _EXCHANGE
     h = h + p.fwm_u * _FWM
     h = h + p.pump.envelope(t) * _PUMP
     if project:
@@ -421,23 +399,6 @@ def integrate_master(
     return TimeSeries(times=samples, values=rhos,
                       meta={"trace_drift": drift, "min_eigenvalue": float(eigs[k]),
                             "solver": solver})
-
-
-def expectation(rho, op: np.ndarray) -> complex:
-    """Tr(op rho).  Real to roundoff for Hermitian op and physical rho."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    op = np.asarray(op)
-    if m.shape != op.shape:
-        raise ValueError(f"shape mismatch: rho {m.shape} vs op {op.shape}")
-    return complex(np.trace(op @ m))
-
-
-def expectation_series(ts: TimeSeries, op: np.ndarray) -> np.ndarray:
-    """Tr(op rho(t)) over a stored master-equation trajectory."""
-    op = np.asarray(op)
-    if ts.values.ndim != 3 or ts.values.shape[1:] != op.shape:
-        raise ValueError("time series does not hold density matrices of the op's shape")
-    return np.einsum("ij,tji->t", op, ts.values)
 
 
 def population_series(ts: TimeSeries, index: int) -> np.ndarray:

@@ -39,7 +39,6 @@ __all__ = [
     "integrate_mbe",
     "alpha_series",
     "polarization_series",
-    "inversion_series",
     "intensity_series",
     "dominant_angular_frequency",
     "extract_rabi_frequency",
@@ -162,10 +161,6 @@ def polarization_series(ts: TimeSeries) -> np.ndarray:
     return ts.column("re_p") + 1j * ts.column("im_p")
 
 
-def inversion_series(ts: TimeSeries) -> np.ndarray:
-    return ts.column("z")
-
-
 def intensity_series(ts: TimeSeries) -> np.ndarray:
     """|alpha|^2."""
     return ts.column("re_alpha") ** 2 + ts.column("im_alpha") ** 2
@@ -228,8 +223,8 @@ def extract_rabi_frequency(trace: TimeSeries, *, transient_fraction: float = 0.1
     return 0.5 * w
 
 
-def rabi_kick(p: ModelParams, *, target_alpha: float = 0.01) -> DriveProfile:
-    """Short Gaussian kick that leaves |alpha| ~ target_alpha in the cavity.
+def rabi_kick(p: ModelParams) -> DriveProfile:
+    """Short Gaussian kick that leaves |alpha| ~ 0.01 in the cavity.
 
     The kick is made fast against both g*sqrt(N) and kappa so that the field it
     deposits is just the pulse area and the ensemble stays in the linear regime.
@@ -239,7 +234,7 @@ def rabi_kick(p: ModelParams, *, target_alpha: float = 0.01) -> DriveProfile:
     if scale <= 0:
         raise ValueError("need at least one nonzero rate to size the kick")
     sigma = 0.05 / scale
-    amp = target_alpha / (math.sqrt(2.0 * math.pi) * sigma)
+    amp = 0.01 / (math.sqrt(2.0 * math.pi) * sigma)
     return DriveProfile(amplitude=amp, center=6.0 * sigma, width=sigma)
 
 

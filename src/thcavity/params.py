@@ -103,14 +103,6 @@ class ModelParams:
         """The Gaussian pump pulse on mode 1."""
         return DriveProfile(self.pump_amp, self.pump_center, self.pump_width)
 
-    def fwm_mismatch(self) -> float:
-        """|2*omega1 - omega2 - omega_vuv|, the four-wave-mixing energy mismatch.
-
-        Zero when the conversion is resonant; reported (not enforced) because
-        off-resonant configurations are legitimate inputs.
-        """
-        return abs(2.0 * self.omega1 - self.omega2 - self.omega_vuv)
-
 
 @dataclass
 class TimeSeries:

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
-
-__all__ = ["PhasePoint", "classify", "classify_rates", "GridScan", "grid_scan"]
-
-REGIMES = ("weak", "collective", "strong")
+__all__ = ["PhasePoint", "classify_rates", "GridScan", "grid_scan"]
 
 
 @dataclass(frozen=True)
@@ -66,10 +62,6 @@ def classify_rates(g: float, n_nuclei: float, kappa_vuv: float,
                       margin_strong=margin_sc, margin_cooperativity=margin_coop)
 
 
-def classify(p: ModelParams) -> PhasePoint:
-    return classify_rates(p.g, p.n_nuclei, p.kappa_vuv, p.gamma_minus)
-
-
 @dataclass(frozen=True)
 class GridScan:
     """Classified grid plus boundary polylines.
@@ -83,8 +75,6 @@ class GridScan:
     points: tuple
     boundary_strong: tuple
     boundary_cooperativity: tuple
-    kappa_grid: np.ndarray
-    sqrt_n_grid: np.ndarray
 
 
 def _crossing_log_kappa(kappas: np.ndarray, margins: np.ndarray) -> float | None:
@@ -144,5 +134,4 @@ def grid_scan(
             boundary_coop.append((row[0].sqrt_n, k_coop))
 
     return GridScan(points=tuple(points), boundary_strong=tuple(boundary_sc),
-                    boundary_cooperativity=tuple(boundary_coop),
-                    kappa_grid=kappas, sqrt_n_grid=sqrt_ns)
+                    boundary_cooperativity=tuple(boundary_coop))

@@ -7,13 +7,10 @@ the 2x2 Hamiltonian is [[delta, omega], [omega, 0]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DegenerateBasisError",
-    "PolaritonPoint",
     "polariton_energies",
     "hopfield_coefficients",
     "spectrum_scan",
@@ -70,19 +67,12 @@ def hopfield_coefficients(delta, omega: float):
     return c2_lp, x2_lp, x2_lp.copy(), c2_lp.copy()
 
 
-@dataclass(frozen=True)
-class PolaritonPoint:
-    """One detuning sample of the avoided crossing."""
+def spectrum_scan(omega: float, delta_range: tuple[float, float, int]):
+    """Sample the branches over a uniform detuning grid (lo, hi, n).
 
-    detuning: float
-    e_upper: float
-    e_lower: float
-    photon_fraction_lp: float
-    nuclear_fraction_lp: float
-
-
-def spectrum_scan(omega: float, delta_range: tuple[float, float, int]) -> list[PolaritonPoint]:
-    """Sample the branches over a uniform detuning grid (lo, hi, n)."""
+    Returns the float64 columns (delta, e_upper, e_lower, c2_lp, x2_lp), the
+    last two the photon and nuclear fractions of the lower branch.
+    """
     lo, hi, n = delta_range
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
@@ -91,13 +81,4 @@ def spectrum_scan(omega: float, delta_range: tuple[float, float, int]) -> list[P
     deltas = np.linspace(lo, hi, int(n))
     e_up, e_lo = polariton_energies(deltas, omega)
     c2_lp, x2_lp, _, _ = hopfield_coefficients(deltas, omega)
-    return [
-        PolaritonPoint(
-            detuning=float(deltas[i]),
-            e_upper=float(e_up[i]),
-            e_lower=float(e_lo[i]),
-            photon_fraction_lp=float(c2_lp[i]),
-            nuclear_fraction_lp=float(x2_lp[i]),
-        )
-        for i in range(len(deltas))
-    ]
+    return deltas, e_up, e_lo, c2_lp, x2_lp

@@ -73,7 +73,7 @@ class DickeSpace:
     """Symmetric subspace of N two-level nuclei: states |j, m>, j = N/2.
 
     Index k = 0..N maps to m = k - j, so index 0 is the fully de-excited
-    state.  J+ is the transpose of J- (real matrices).
+    state.
     """
 
     n_nuclei: int
@@ -98,18 +98,6 @@ class DickeSpace:
         m = self.m_values()
         amp2 = (self.j + m) * (self.j - m + 1.0)
         return np.sqrt(np.maximum(amp2, 0.0))
-
-    def j_minus(self) -> np.ndarray:
-        c = self.lowering_amplitudes()
-        out = np.zeros((self.dim, self.dim))
-        out[np.arange(self.dim - 1), np.arange(1, self.dim)] = c[1:]
-        return out
-
-    def j_plus(self) -> np.ndarray:
-        return self.j_minus().T
-
-    def j_z(self) -> np.ndarray:
-        return np.diag(self.m_values())
 
 
 @dataclass(frozen=True)

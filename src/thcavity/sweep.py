@@ -33,7 +33,6 @@ __all__ = [
     "NoJumpError",
     "integrate_sweep",
     "sweep_diagnostics",
-    "project_polariton",
     "polariton_populations",
     "jump_time",
     "SweepScanResult",
@@ -113,6 +112,8 @@ _DOUBLING_TOL = 1e-9
 _MAX_SUBSTEPS = 2**14
 # the two Gauss-Legendre nodes sit this many steps either side of the midpoint
 _GAUSS = math.sqrt(3.0) / 6.0
+# a run whose norm leaves 1 by more than this anywhere is rejected
+_NORM_TOL = 1e-6
 
 
 def _interval_propagators(times, proto: SweepProtocol, m: int):
@@ -169,7 +170,6 @@ def integrate_sweep(
     proto: SweepProtocol,
     *,
     n_samples: int = 4001,
-    norm_tol: float = 1e-6,
 ) -> TimeSeries:
     """Evolve the photonic state through the sweep; store both amplitudes.
 
@@ -183,7 +183,7 @@ def integrate_sweep(
     the m-step pass is returned, and m and that difference are recorded in
     meta["substeps"] and meta["doubling_error"].  IntegrationFailure is raised
     if they do not agree by 2**14 steps per interval.  The run is rejected
-    (NormDriftError) if the norm leaves 1 by more than norm_tol anywhere; the
+    (NormDriftError) if the norm leaves 1 by more than 1e-6 anywhere; the
     worst drift is recorded in meta["max_norm_drift"].
     """
     k = proto.rate_k
@@ -210,8 +210,8 @@ def integrate_sweep(
 
     norms = np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2
     drift = float(np.abs(norms - 1.0).max())
-    if drift > norm_tol:
-        raise NormDriftError(f"norm drifted by {drift:.3e} (> {norm_tol:g})")
+    if drift > _NORM_TOL:
+        raise NormDriftError(f"norm drifted by {drift:.3e} (> {_NORM_TOL:g})")
 
     return TimeSeries(times=samples, values=amps, columns=SWEEP_COLUMNS,
                       meta={"protocol": proto, "max_norm_drift": drift,
@@ -237,13 +237,6 @@ def _branch_populations(c_photon, c_nuclear, delta, omega):
         amp = omega * c_photon + b * c_nuclear
         p.append(np.abs(amp) ** 2 / n2)
     return p[0], p[1]
-
-
-def project_polariton(state, proto: SweepProtocol, t: float) -> tuple[float, float]:
-    """(P_upper, P_lower) of a two-component state at time t."""
-    up, lo = _branch_populations(complex(state[0]), complex(state[1]),
-                                 float(proto.delta(t)), proto.omega)
-    return float(up), float(lo)
 
 
 def polariton_populations(ts: TimeSeries):

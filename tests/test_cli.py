@@ -1,9 +1,11 @@
 """Exit codes, schema rejection, and artifact determinism of the batch runner."""
 
+import importlib
 import json
 import logging
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -179,6 +181,13 @@ def test_list_names_every_experiment(capsys):
     assert any(ln.startswith("sweep → Fig. 4") for ln in lines)
     assert any(ln.startswith("superradiance → Fig. S1") for ln in lines)
     assert out == list_experiments() + "\n"
+
+
+@pytest.mark.parametrize("module", [
+    "thcavity", *(f"thcavity.{m.name}" for m in pkgutil.iter_modules(thcavity.__path__))])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_console_script_list():
@@ -486,6 +495,34 @@ def test_deleted_settings_are_unknown_fields(tmp_path, capsys, name, keys, field
     path = write(tmp_path, yaml.safe_dump(cfg))
     assert main([cfg["experiment"], "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: unknown field: {field}\n"
+
+
+# values a run cannot use: a scan with too few distinct values, fewer samples or
+# grid points than the analysis needs, a window on a sweep scan (whose runs
+# each take the default window of their rate); (config, keys, value)
+@pytest.mark.parametrize("name, keys, value", [
+    pytest.param(name, keys, value, id=f"{name}-{'.'.join(keys)}")
+    for name, keys, value in [
+        ("rabi", ("scan", "n_nuclei"), [25, 25, 25, 25]),
+        ("lifetime", ("scan", "kappa_vuv"), [1.0e5, 1.0e5, 2.0e5]),
+        ("sweep-scan", ("scan", "rate_k"), [6.0, 6.0, 6.0]),
+        ("spectrum", ("scan", "n_points"), 1),
+        ("phase-diagram", ("grid", "kappa", "n"), 1),
+        ("phase-diagram", ("grid", "sqrt_n", "n"), 1),
+        ("sweep", ("sampling", "n_samples"), 5),
+        ("rabi", ("tolerances", "n_samples"), 5),
+        ("sweep-scan", ("protocol", "t_start"), -0.5),
+        ("sweep-scan", ("protocol", "t_end"), 0.5),
+    ]])
+def test_a_value_the_run_cannot_use_is_a_config_error(tmp_path, capsys, name, keys, value):
+    cfg = yaml.safe_load(MINIMAL_CONFIGS[name])
+    node = cfg
+    for k in keys[:-1]:
+        node = node.setdefault(k, {})
+    node[keys[-1]] = value
+    path = write(tmp_path, yaml.safe_dump(cfg))
+    assert main([cfg["experiment"], "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {'.'.join(keys)}: ")
 
 
 def _diagnostics(tmp_path, text):

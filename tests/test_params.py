@@ -64,13 +64,6 @@ def test_pump_envelope():
     assert make().pump.window is None           # pump_amp 0 is no pump
 
 
-def test_fwm_mismatch():
-    p = make(omega1=5.0, omega2=2.0, omega_vuv=7.0)
-    assert p.fwm_mismatch() == pytest.approx(1.0)
-    assert make(omega1=5.0, omega2=2.0, omega_vuv=7.0, e_nuc=99.0).fwm_mismatch() == pytest.approx(1.0)
-    assert make(omega1=2.0, omega2=1.0, omega_vuv=3.0).fwm_mismatch() == 0.0
-
-
 def test_timeseries_basics():
     t = np.linspace(0, 1, 5)
     v = np.arange(10).reshape(5, 2)

@@ -99,23 +99,22 @@ def test_array_input_shapes():
 
 
 def test_scan_midpoint_and_antisymmetry():
-    pts = spectrum_scan(2.0, (-10.0, 10.0, 21))
-    assert len(pts) == 21
-    mid = pts[10]
-    assert mid.detuning == 0.0
-    assert mid.photon_fraction_lp == 0.5
+    columns = spectrum_scan(2.0, (-10.0, 10.0, 21))
+    assert all(c.dtype == np.float64 and c.shape == (21,) for c in columns)
+    delta, e_up, e_lo, c2_lp, _ = columns
+    assert delta[10] == 0.0
+    assert c2_lp[10] == 0.5
     # e_lower(-d) = -e_upper(d) by the closed form
-    for left, right in zip(pts, reversed(pts)):
-        assert left.e_lower == pytest.approx(-right.e_upper, abs=1e-12)
+    np.testing.assert_allclose(e_lo, -e_up[::-1], atol=1e-12)
 
 
 def test_scan_consistency_with_pointwise():
-    pts = spectrum_scan(1.5, (-4.0, 4.0, 9))
-    for pt in pts:
-        up, lo = polariton_energies(pt.detuning, 1.5)
-        assert pt.e_upper == pytest.approx(up, rel=1e-14)
-        assert pt.e_lower == pytest.approx(lo, rel=1e-14)
-        assert pt.photon_fraction_lp + pt.nuclear_fraction_lp == pytest.approx(1.0, abs=1e-14)
+    delta, e_up, e_lo, c2_lp, x2_lp = spectrum_scan(1.5, (-4.0, 4.0, 9))
+    for i, d in enumerate(delta):
+        up, lo = polariton_energies(float(d), 1.5)
+        assert e_up[i] == pytest.approx(up, rel=1e-14)
+        assert e_lo[i] == pytest.approx(lo, rel=1e-14)
+        assert c2_lp[i] + x2_lp[i] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scan_validation():

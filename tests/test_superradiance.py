@@ -49,13 +49,18 @@ def bad_cavity_params(n, **kw):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 def test_collective_spin_algebra(n):
+    """The amplitudes the pump and the decay use obey the su(2) algebra."""
     sp = DickeSpace(n)
-    jm, jp, jz = sp.j_minus(), sp.j_plus(), sp.j_z()
+    j, m = sp.j, sp.m_values()
+    # J- from the library's amplitudes; J+ from the textbook raising amplitudes
+    # sqrt(j (j + 1) - m (m + 1)), J+|m> = that |m + 1>
+    jm = np.diag(sp.lowering_amplitudes()[1:], 1)
+    jp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
+    jz = np.diag(m)
     np.testing.assert_allclose(jp @ jm - jm @ jp, 2.0 * jz, atol=1e-12)
     j2 = jz @ jz + 0.5 * (jp @ jm + jm @ jp)
-    j = sp.j
     np.testing.assert_allclose(j2, j * (j + 1) * np.eye(sp.dim), atol=1e-12)
-    np.testing.assert_allclose(jp, jm.T)
+    np.testing.assert_allclose(jp, jm.T, atol=1e-12)
 
 
 def test_ladder_amplitudes():

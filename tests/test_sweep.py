@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thcavity._integrate import IntegrationFailure, solve_sampled
+import thcavity.sweep as sweep_module
 from thcavity.sweep import (
     _DOUBLING_TOL,
     NoJumpError,
@@ -19,7 +20,6 @@ from thcavity.sweep import (
     jump_time,
     jump_time_scan,
     polariton_populations,
-    project_polariton,
 )
 
 
@@ -197,10 +197,11 @@ def test_norm_is_conserved_at_defaults():
     assert ts.meta["max_norm_drift"] <= 1e-9
 
 
-def test_norm_guard_trips_on_impossible_tolerance():
+def test_norm_guard_trips_on_impossible_tolerance(monkeypatch):
+    monkeypatch.setattr(sweep_module, "_NORM_TOL", 1e-16)
     proto = SweepProtocol(delta0=30.0, rate_k=1.0, omega=1.0)
     with pytest.raises(NormDriftError):
-        integrate_sweep(proto, n_samples=101, norm_tol=1e-16)
+        integrate_sweep(proto, n_samples=101)
 
 
 def test_polariton_projection_is_complete():
@@ -208,20 +209,17 @@ def test_polariton_projection_is_complete():
     ts = integrate_sweep(proto, n_samples=301)
     p_up, p_lp = polariton_populations(ts)
     np.testing.assert_allclose(p_up + p_lp, 1.0, atol=1e-9)
-    # single-state projector agrees with the vectorized one
-    i = 150
-    up_i, lp_i = project_polariton(ts.values[i], proto, float(ts.times[i]))
-    assert up_i == pytest.approx(p_up[i], abs=1e-12)
-    assert lp_i == pytest.approx(p_lp[i], abs=1e-12)
 
 
 def test_initial_photon_fills_the_lower_branch():
     # far below resonance the photon is the lower polariton
     proto = SweepProtocol(delta0=30.0, rate_k=1.0, omega=1.0)
-    up, lp = project_polariton(np.array([1.0 + 0j, 0j]), proto,
-                               proto.window[0])
-    assert lp > 0.998
-    assert up < 2e-3
+    ts = integrate_sweep(proto, n_samples=101)
+    assert ts.times[0] == proto.window[0]
+    assert np.array_equal(ts.values[0], [1.0, 0.0])
+    up, lp = polariton_populations(ts)
+    assert lp[0] > 0.998
+    assert up[0] < 2e-3
 
 
 def test_adiabatic_sweep_transfers_the_photon():
