@@ -105,7 +105,7 @@ _MISSING = object()
 class _Field:
     def __init__(self, kind, *, required=True, default=_MISSING, choices=None,
                  item=None, children=None, min_distinct=0, positive=False,
-                 nonneg=False, minimum=None):
+                 minimum=None):
         self.kind = kind
         self.required = required
         self.default = default
@@ -114,7 +114,6 @@ class _Field:
         self.children = children
         self.min_distinct = min_distinct
         self.positive = positive
-        self.nonneg = nonneg
         self.minimum = minimum
 
 
@@ -198,8 +197,6 @@ def _apply(field, value, path):
         raise ConfigError(f"{path}: must be one of {sorted(field.choices)}, got {value!r}")
     if field.positive and not value > 0:
         raise ConfigError(f"{path}: must be > 0, got {value}")
-    if field.nonneg and not value >= 0:
-        raise ConfigError(f"{path}: must be >= 0, got {value}")
     if field.minimum is not None and not value >= field.minimum:
         raise ConfigError(f"{path}: must be >= {field.minimum}, got {value}")
     return value
@@ -215,21 +212,16 @@ def _root(children):
 
 
 def _model_sec(required, optional=()):
-    # frame energies may be negative (rotating-frame detunings); rates may not
+    # mode energies may be negative (detunings); rates may not
     children = {}
     for name in required:
-        children[name] = _int(positive=True) if name == "n_nuclei" else _num(nonneg=True)
+        children[name] = _int(positive=True) if name == "n_nuclei" else _num(minimum=0)
     for name in optional:
-        if name == "frame":
-            children[name] = _str(required=False, default="rotating",
-                                  choices=("rotating", "lab"))
-        else:
-            # mirrors the ModelParams defaults: auxiliary terms off
-            default = 1.0 if name == "pump_width" else 0.0
-            rate_like = name in ("kappa1", "kappa2", "fwm_u",
-                                 "pump_amp", "pump_width")
-            children[name] = _num(required=False, default=default,
-                                  nonneg=rate_like)
+        # mirrors the ModelParams defaults: auxiliary terms off
+        default = 1.0 if name == "pump_width" else 0.0
+        rate_like = name in ("kappa1", "kappa2", "fwm_u", "pump_amp", "pump_width")
+        children[name] = _num(required=False, default=default,
+                              minimum=0 if rate_like else None)
     return _sec(children)
 
 
@@ -264,11 +256,9 @@ _SCHEMAS = {
     "rabi": _root({
         "model": _model_sec(("g", "kappa_vuv", "gamma_minus")),
         "scan": _sec({"n_nuclei": _list(_int(positive=True), min_distinct=4)}),
-        "kick": _sec({
-            "n_periods": _num(required=False, default=8.0, positive=True),
-        }, required=False, default={"n_periods": 8.0}),
-        # the peak extraction needs 8 samples
-        "tolerances": _tol_sec(4000, min_samples=8),
+        # the peak extraction needs 8 samples after its 5% transient cut,
+        # which takes the first sample of 8
+        "tolerances": _tol_sec(4000, min_samples=9),
         "emit_traces": _bool(required=False, default=False),
     }),
     "lindblad11": _root({
@@ -276,17 +266,16 @@ _SCHEMAS = {
             ("g", "kappa_vuv", "gamma_minus", "n_nuclei"),
             optional=("omega1", "omega2", "omega_vuv", "e_nuc", "fwm_u",
                       "pump_amp", "pump_center", "pump_width",
-                      "kappa1", "kappa2", "frame")),
-        "initial_state": _list(_int(nonneg=True)),
+                      "kappa1", "kappa2")),
+        "initial_state": _list(_int(minimum=0)),
         "time": _sec({
             "t_end": _num(positive=True),
-            "n_samples": _int(required=False, default=400, positive=True),
+            # one sample is t = 0 alone, where t_end changes nothing
+            "n_samples": _int(required=False, default=400, minimum=2),
         }),
         "options": _sec({
             "collective_coupling": _bool(required=False, default=False),
-            "check": _bool(required=False, default=True),
-        }, required=False, default={"collective_coupling": False, "check": True}),
-        "dump_operators": _bool(required=False, default=False),
+        }, required=False, default={"collective_coupling": False}),
     }),
     "superradiance": _root({
         "model": _model_sec(("g", "kappa_vuv", "gamma_minus", "fwm_u")),
@@ -310,7 +299,7 @@ _SCHEMAS = {
     "sweep": _root({
         "protocol": _sec({
             "delta0": _num(),
-            "omega": _num(nonneg=True),
+            "omega": _num(minimum=0),
             "rate_k": _num(required=False, positive=True),
             "t_start": _num(required=False),
             "t_end": _num(required=False),
@@ -336,7 +325,6 @@ _SCHEMAS = {
                 "n": _int(required=False, default=60, minimum=2),
             }),
         }),
-        "snap_integer_n": _bool(required=False, default=False),
     }),
 }
 
@@ -347,7 +335,7 @@ def _build(ctor, path, *args, **kwargs):
     try:
         return ctor(*args, **kwargs)
     except (ValueError, TypeError) as err:
-        words = set(re.findall(r"[\w-]+", str(err)))   # "lab-frame" is one word
+        words = set(re.findall(r"\w+", str(err)))
         named = [key for key in kwargs if key in words]
         if len(named) == 1:
             path = _join(path, named[0])
@@ -416,8 +404,7 @@ def _run_rabi(cfg, out, prefix, map_fn):
     ns = cfg["scan"]["n_nuclei"]
     p0 = _build(ModelParams, "model", g=mod["g"], kappa_vuv=mod["kappa_vuv"],
                 gamma_minus=mod["gamma_minus"], n_nuclei=ns[0])
-    fit = rabi_scaling_fit(ns, p0, n_periods=cfg["kick"]["n_periods"],
-                           n_samples=cfg["tolerances"]["n_samples"])
+    fit = rabi_scaling_fit(ns, p0, n_samples=cfg["tolerances"]["n_samples"])
     files = [write_csv(out / f"{prefix}.csv", ("sqrt_n", "omega_rabi"),
                        ([s for _, s, _ in fit.points], [w for _, _, w in fit.points]))]
     files.append(write_json(out / f"{prefix}_fit.json", {
@@ -444,7 +431,6 @@ def _run_rabi(cfg, out, prefix, map_fn):
 
 
 def _run_lindblad11(cfg, out, prefix, map_fn):
-    opts = cfg["options"]
     p = _build(ModelParams, "model", **cfg["model"])
     state = tuple(cfg["initial_state"])
     if len(state) != 4:
@@ -452,7 +438,7 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
     idx = _build(basis_index, "initial_state", state)
     rho0 = DensityMatrix.pure(DIM, idx)
 
-    collective = opts["collective_coupling"]
+    collective = cfg["options"]["collective_coupling"]
     # H(t) = h0 + pump.envelope(t) * (a1 + a1^dag), h0 with the pump off
     hamiltonian = h0 = build_hamiltonian_operators(replace(p, pump_amp=0.0),
                                                    collective_coupling=collective)
@@ -463,26 +449,13 @@ def _run_lindblad11(cfg, out, prefix, map_fn):
     collapse = standard_collapse_ops(p, collective_coupling=collective)
     ts = integrate_master(hamiltonian, rho0, collapse,
                           (0.0, cfg["time"]["t_end"]),
-                          n_samples=cfg["time"]["n_samples"], check=opts["check"])
+                          n_samples=cfg["time"]["n_samples"])
 
     labels = ["p_" + "".join(str(v) for v in s) for s in BASIS]
     pops = [population_series(ts, i) for i in range(DIM)]
     purity = np.einsum("tij,tji->t", ts.values, ts.values).real
     files = [write_csv(out / f"{prefix}.csv", ("t", *labels, "purity"),
                        (ts.times, *pops, purity))]
-
-    if cfg["dump_operators"]:
-        h_start = build_hamiltonian_operators(p, 0.0, collective_coupling=collective)
-        lines = ["# basis states (n1, n2, n_vuv, n_nuc):"]
-        lines += [f"#   {i}: {tuple(s)}" for i, s in enumerate(BASIS)]
-        for name, op in [("hamiltonian(t=0)", h_start)] + [
-                (f"collapse_{i}", c) for i, c in enumerate(collapse)]:
-            lines.append(f"# {name}, real part then imaginary part")
-            for block in (op.real, op.imag):
-                lines += [" ".join(f"{v:+.17e}" for v in row) for row in block]
-        dump = out / f"{prefix}_operators.txt"
-        dump.write_text("\n".join(lines) + "\n", newline="\n")
-        files.append(dump)
     solver = ts.meta["solver"]     # empty for the exact static run
     return files, {"trace_drift": ts.meta["trace_drift"],
                    "min_eigenvalue": ts.meta["min_eigenvalue"],
@@ -627,8 +600,7 @@ def _run_phase_diagram(cfg, out, prefix, map_fn):
                   (grid["kappa"]["min"], grid["kappa"]["max"],
                    grid["kappa"]["n"]),
                   (grid["sqrt_n"]["min"], grid["sqrt_n"]["max"],
-                   grid["sqrt_n"]["n"]),
-                  snap_integer_n=cfg["snap_integer_n"])
+                   grid["sqrt_n"]["n"]))
     kappa, sqrt_n, margin_sc, margin_coop = np.array(
         [(pt.kappa_vuv, pt.sqrt_n, pt.margin_strong, pt.margin_cooperativity)
          for pt in scan.points]).T

@@ -329,7 +329,6 @@ def integrate_master(
     n_samples: int = 400,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    check: bool = True,
 ) -> TimeSeries:
     """Integrate the master equation; values are the sampled density matrices.
 
@@ -345,10 +344,9 @@ def integrate_master(
     at once, each Hermitian to the last bit.  meta holds trace_drift (largest
     |Tr rho - 1|), min_eigenvalue (over all samples) and solver, the
     solve_sampled stats of each DOP853 segment (empty for the exact static
-    run).  With check=True a trace drift beyond 1e-6 raises
-    MasterEquationAccuracyError, before anything is propagated if rho0 is
-    off already, and an eigenvalue below -1e-6 raises
-    PositivityViolationError.
+    run).  A trace drift beyond 1e-6 raises MasterEquationAccuracyError,
+    before anything is propagated if rho0 is off already, and an eigenvalue
+    below -1e-6 raises PositivityViolationError.
     """
     driven = isinstance(hamiltonian, tuple)
     # a static h1 is h0 again: it only passes through the shape check below
@@ -375,7 +373,7 @@ def integrate_master(
     # the real part of the coordinates is those of rho0's Hermitian part
     x0 = _coordinates(rho0.ravel()).real
     drift = abs(x0[:dim].sum() - 1.0)
-    if check and drift > 1e-6:
+    if drift > 1e-6:
         raise MasterEquationAccuracyError(f"|Tr rho - 1| reached {drift:.3e} (> 1e-6)")
     gen = _to_real(liouvillian(h0, collapse_ops)).real.copy()   # contiguous for BLAS
     samples = np.linspace(t_span[0], t_span[1], int(n_samples))
@@ -391,9 +389,9 @@ def integrate_master(
     drift = float(np.abs(xs[:, :dim].sum(axis=1) - 1.0).max())
     eigs = np.linalg.eigvalsh(rhos).min(axis=1)   # reads the lower triangle only
     k = int(np.argmin(eigs))
-    if check and drift > 1e-6:
+    if drift > 1e-6:
         raise MasterEquationAccuracyError(f"|Tr rho - 1| reached {drift:.3e} (> 1e-6)")
-    if check and eigs[k] < -1e-6:
+    if eigs[k] < -1e-6:
         raise PositivityViolationError(
             f"eigenvalue {eigs[k]:.3e} < -1e-6 at t={samples[k]:.6g}")
     return TimeSeries(times=samples, values=rhos,

@@ -50,6 +50,7 @@ __all__ = [
 
 MBE_COLUMNS = ("re_alpha", "im_alpha", "re_p", "im_p", "z")
 _RTOL, _ATOL = 1e-8, 1e-10   # integrate_mbe's and every Rabi scan's tolerances
+_N_PERIODS = 8.0   # linear-regime periods each Rabi scan point runs after its kick
 
 
 class OverdampedSignalError(RuntimeError):
@@ -278,15 +279,14 @@ def rabi_scaling_fit(
     n_values,
     p: ModelParams,
     *,
-    n_periods: float = 8.0,
     n_samples: int = 4000,
 ) -> RabiFit:
     """Extracted Rabi frequency vs sqrt(N), fitted linearly.
 
     Each N reuses p with n_nuclei replaced and gets its own rabi_kick, short
-    against that N's oscillation, and runs to kick.center + n_periods
+    against that N's oscillation, and runs to kick.center + _N_PERIODS (8)
     linear-regime periods.  The scan is self-similar: in tau = t / t_end(N)
-    every point has its kick at nearly the same tau and n_periods periods in
+    every point has its kick at nearly the same tau and 8 periods in
     [0, 1].  So all points run as one DOP853 solve of their stacked states,
     at integrate_mbe's default tolerances, in the first point's own time
     (see _integrate_scaled); each trace's meta["solver"] holds that shared
@@ -306,7 +306,7 @@ def rabi_scaling_fit(
         run = None
         if omega_lin > 0:
             period = 2.0 * math.pi / omega_lin
-            run = (pn, kick, kick.center + n_periods * period)
+            run = (pn, kick, kick.center + _N_PERIODS * period)
         plans.append((n, run))
     runs = [run for _, run in plans if run is not None]
     solved = iter(_scan_traces(runs, n_samples))

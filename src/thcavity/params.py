@@ -9,10 +9,8 @@ import numpy as np
 
 __all__ = ["DriveProfile", "ModelParams", "TimeSeries"]
 
-_FRAMES = ("rotating", "lab")
-
 # fields that must be nonnegative rates; mode energies are exempt because they
-# can be detunings of either sign in the rotating frame
+# are detunings of either sign
 _RATE_FIELDS = ("g", "fwm_u", "pump_amp", "kappa1", "kappa2", "kappa_vuv", "gamma_minus")
 
 
@@ -47,9 +45,7 @@ class ModelParams:
     """Rates and energies of the two-color cavity + nuclear ensemble model.
 
     All rates share one unit chosen by the caller (plain or angular frequency;
-    never mixed).  In the rotating frame (default) the four mode energies are
-    detunings and may be negative; in the lab frame they are absolute energies
-    and must be >= 0.
+    never mixed).  The four mode energies are detunings and may be negative.
 
     omega1, omega2   pump-cavity modes (two photons of mode 1 convert to one of
                      mode 2 plus one VUV photon)
@@ -77,11 +73,8 @@ class ModelParams:
     pump_width: float = 1.0
     kappa1: float = 0.0
     kappa2: float = 0.0
-    frame: str = "rotating"
 
     def __post_init__(self):
-        if self.frame not in _FRAMES:
-            raise ValueError(f"frame must be one of {_FRAMES}, got {self.frame!r}")
         for name in _RATE_FIELDS:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
@@ -93,10 +86,6 @@ class ModelParams:
             raise ValueError(f"pump_width must be > 0, got {self.pump_width!r}")
         if self.n_nuclei < 1 or int(self.n_nuclei) != self.n_nuclei:
             raise ValueError(f"n_nuclei must be an integer >= 1, got {self.n_nuclei!r}")
-        if self.frame == "lab":
-            for name in ("omega1", "omega2", "omega_vuv", "e_nuc"):
-                if getattr(self, name) < 0:
-                    raise ValueError(f"lab-frame {name} must be >= 0")
 
     @property
     def pump(self) -> DriveProfile:

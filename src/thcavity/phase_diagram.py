@@ -94,24 +94,14 @@ def grid_scan(
     gamma_minus: float,
     kappa_range: tuple[float, float, int],
     sqrt_n_range: tuple[float, float, int],
-    *,
-    snap_integer_n: bool = False,
 ) -> GridScan:
-    """Classify a log(kappa) x linear sqrt(N) grid.
-
-    snap_integer_n rounds each grid sqrt(N) to the nearest integer ensemble
-    size before classifying (the sqrt_n recorded per point then reflects the
-    snapped value).
-    """
+    """Classify a log(kappa) x linear sqrt(N) grid."""
     k_lo, k_hi, nk = kappa_range
     s_lo, s_hi, ns = sqrt_n_range
     if not (k_lo > 0 and k_hi > k_lo and nk >= 2):
         raise ValueError(f"bad kappa_range {kappa_range}")
     if not (s_lo >= 0 and s_hi > s_lo and ns >= 2):
         raise ValueError(f"bad sqrt_n_range {sqrt_n_range}")
-    if snap_integer_n and not math.isfinite(s_hi * s_hi):
-        raise ValueError(f"bad sqrt_n_range {sqrt_n_range}: N = sqrt_n^2 overflows, "
-                         "so it cannot be snapped to an integer")
 
     kappas = np.geomspace(k_lo, k_hi, int(nk))
     sqrt_ns = np.linspace(s_lo, s_hi, int(ns))
@@ -121,8 +111,7 @@ def grid_scan(
     boundary_coop = []
     # Python floats overflow to inf silently, where numpy scalars would warn
     for s in sqrt_ns.tolist():
-        n = round(s * s) if snap_integer_n else s * s
-        row = [classify_rates(g, n, float(k), gamma_minus) for k in kappas]
+        row = [classify_rates(g, s * s, float(k), gamma_minus) for k in kappas]
         points.extend(row)
         m_sc = np.array([pt.margin_strong for pt in row])
         m_coop = np.array([pt.margin_cooperativity for pt in row])

@@ -18,6 +18,7 @@ from thcavity.lindblad import (
     DIM,
     DensityMatrix,
     MasterEquationAccuracyError,
+    PositivityViolationError,
     _coordinates,
     _from_real,
     _to_real,
@@ -270,10 +271,9 @@ def test_master_equation_is_linear():
 
 @pytest.mark.parametrize("driven", [False, True], ids=["static", "pumped"])
 def test_a_trace_off_one_is_reported_as_a_drift(driven, spy_solves, monkeypatch):
-    """Both runs keep the trace, so an initial trace of 2 stays 2: the check
-    reports |Tr rho - 1|, with no advice about tolerances, before anything is
-    propagated, and unchecked the run returns the same figure as
-    trace_drift."""
+    """An initial trace of 2 is reported as |Tr rho - 1|, with no advice about
+    tolerances, before anything is propagated; the same run from trace 1 is
+    propagated once."""
     p = params(g=4.0, kappa_vuv=1.0, fwm_u=2.0, pump_amp=2.0, pump_center=0.2,
                pump_width=0.05)
     h0 = build_hamiltonian_operators(replace(p, pump_amp=0.0))
@@ -290,9 +290,22 @@ def test_a_trace_off_one_is_reported_as_a_drift(driven, spy_solves, monkeypatch)
                        match=r"^\|Tr rho - 1\| reached 1\.000e\+00 \(> 1e-6\)$"):
         integrate_master(h, rho0, standard_collapse_ops(p), **kw)
     assert solves == [] and propagations == []
-    ts = integrate_master(h, rho0, standard_collapse_ops(p), check=False, **kw)
-    assert ts.meta["trace_drift"] == pytest.approx(1.0, abs=1e-9)
+    integrate_master(h, 0.5 * rho0, standard_collapse_ops(p), **kw)
     assert (len(solves), len(propagations)) == ((1, 0) if driven else (0, 1))
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "pumped"])
+def test_a_negative_eigenvalue_is_reported(driven):
+    """A state of trace 1 with an eigenvalue of -0.5 passes the trace check
+    and is propagated; the eigenvalue check then rejects the run."""
+    p = params(g=4.0, kappa_vuv=1.0, fwm_u=2.0, pump_amp=2.0, pump_center=0.2,
+               pump_width=0.05)
+    h0 = build_hamiltonian_operators(replace(p, pump_amp=0.0))
+    a1 = mode_operators()["a1"]
+    h = (h0, project_to_basis(a1 + a1.T), p.pump) if driven else h0
+    rho0 = np.diag([1.5, -0.5] + [0.0] * (DIM - 2))
+    with pytest.raises(PositivityViolationError, match=r"^eigenvalue -\S+ < -1e-6 at t="):
+        integrate_master(h, rho0, standard_collapse_ops(p), t_span=(0.0, 0.5), n_samples=20)
 
 
 def test_time_dependent_pump_moves_population():

@@ -177,7 +177,7 @@ def test_kick_needs_a_rate_scale():
 
 def test_scaling_fit_recovers_the_coupling():
     p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
-    fit = rabi_scaling_fit([16, 25, 36, 49], p, n_periods=6.0, n_samples=1200)
+    fit = rabi_scaling_fit([16, 25, 36, 49], p, n_samples=1200)
     assert fit.slope == pytest.approx(1.0, rel=5e-3)
     assert fit.r_squared > 0.9999
     assert len(fit.points) == 4
@@ -208,13 +208,13 @@ def test_stacked_scan_matches_independent_tight_runs():
     default tolerances."""
     p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
     ns = [16, 25, 36, 49]
-    fit = rabi_scaling_fit(ns, p, n_periods=6.0, n_samples=1200)
+    fit = rabi_scaling_fit(ns, p, n_samples=1200)
     assert [n for n, _, _ in fit.points] == ns
     single_steps = []
     for (n, _, w), tr in zip(fit.points, fit.traces):
         pn = replace(p, n_nuclei=n)
         kick = rabi_kick(pn)
-        t_end = kick.center + 6.0 * (2.0 * math.pi / linear_rabi_frequency(n, p))
+        t_end = kick.center + 8.0 * (2.0 * math.pi / linear_rabi_frequency(n, p))
         ref = integrate_mbe(pn, kick, (0.0, t_end), n_samples=1200, rtol=1e-12, atol=1e-16)
         assert np.array_equal(tr.times, np.linspace(0.0, t_end, 1200))
         assert np.array_equal(tr.times, ref.times)
@@ -232,7 +232,7 @@ def test_stacked_scan_matches_independent_tight_runs():
 def test_stacked_scan_is_one_solve_per_segment(spy_solves):
     calls = spy_solves(maxwell_bloch)
     p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
-    fit = rabi_scaling_fit([16, 25, 36, 49], p, n_periods=6.0, n_samples=600)
+    fit = rabi_scaling_fit([16, 25, 36, 49], p, n_samples=600)
     (_, span, y0, _, kw), = calls            # the kicks, then the free run
     assert y0.shape == (20,)
     kicks = [tr.meta["drive"] for tr in fit.traces]

@@ -17,7 +17,6 @@ def test_defaults_are_off():
     assert p.fwm_u == 0.0
     assert p.pump_amp == 0.0
     assert p.kappa1 == 0.0 and p.kappa2 == 0.0
-    assert p.frame == "rotating"
 
 
 @pytest.mark.parametrize("field", ["g", "fwm_u", "pump_amp", "kappa1",
@@ -30,17 +29,6 @@ def test_rates_must_be_nonnegative(field):
 def test_rotating_frame_allows_negative_detunings():
     p = make(omega1=-3.0, e_nuc=-1.5)
     assert p.omega1 == -3.0
-
-
-def test_lab_frame_rejects_negative_energies():
-    with pytest.raises(ValueError, match="lab-frame"):
-        make(frame="lab", omega1=-3.0)
-    make(frame="lab", omega1=3.0)  # fine
-
-
-def test_frame_choices():
-    with pytest.raises(ValueError, match="frame"):
-        make(frame="interaction")
 
 
 def test_n_nuclei_validation():

@@ -103,14 +103,6 @@ def test_boundary_crossings_match_closed_forms():
         assert abs(math.log(k_cross / exact)) <= step
 
 
-def test_snap_integer_n():
-    scan = grid_scan(1.0, 0.1, (1.0, 10.0, 3), (1.4, 1.6, 2),
-                     snap_integer_n=True)
-    # 1.4^2 = 1.96 and 1.6^2 = 2.56 both snap to N = 2, 3
-    assert scan.points[0].sqrt_n == pytest.approx(math.sqrt(2.0))
-    assert scan.points[-1].sqrt_n == pytest.approx(math.sqrt(3.0))
-
-
 def test_grid_validation():
     with pytest.raises(ValueError, match="kappa_range"):
         grid_scan(1.0, 0.1, (0.0, 10.0, 5), (1.0, 2.0, 2))
