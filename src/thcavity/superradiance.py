@@ -7,20 +7,23 @@ reduce to the N+1 symmetric states |j, m>, j = N/2, with
     rho' = -i [D(t) (J+ + J-), rho] + gamma_eff D[J-] rho,
 
 where gamma_eff = gamma_minus + 4 g^2 / kappa_vuv and D(t) is the pump-fed
-drive 2 g U |eta(t)| / kappa_vuv.  A run from the de-excited state uses three
-facts.  The pump tips it to excitation fraction f with binomial(N, f)
-populations, and decay only lowers them, so only the levels 0..K below a
-negligible binomial tail are ever occupied (ladder_cut; K = 127 at N = 500,
-f = 0.1).  The state keeps the phase pattern of a rotated coherent spin state
+drive 2 g U |eta(t)| / kappa_vuv.  A run from the de-excited state uses four
+facts.  The state keeps the phase pattern of a rotated coherent spin state
 (Arecchi et al. 1972), rho[k, l] = i^(l-k) R[k, l] with R real and symmetric:
 the real drive -i D [J+ + J-, .] moves an entry to a neighbouring diagonal
 times -i D c, which is just the change of i^(l-k) there, and D[J-] maps each
-diagonal of rho to itself (Gross & Haroche 1982).  So the pump runs on
-DOP853 over the real (K+1)^2 block R, with the banded structure of J+- (no
-superoperator matrix).  After the pump the observables need only the
-populations R[k, k] and the first off-diagonal R[k+1, k] = i rho[k+1, k]:
-each evolves under a constant bidiagonal generator, stepped exactly on the
-sample grid (propagate_sampled).
+diagonal of rho to itself (Gross & Haroche 1982).  On R the drive is
+D [X, R] with X = J+ - J- real, a rotation about y by the angle phi(t) =
+integral of D, which has a closed form (erf).  So the pump runs in the frame
+the drive rotates, R = O R~ O^T with O = expm(phi X): there only the slow
+collective decay acts, and R~ stays on a few levels (0..8 up to N = 500), a
+9 x 9 state for DOP853.  The pump tips the ensemble to excitation fraction f
+with binomial(N, f) populations, and decay only lowers them, so in the lab
+frame only the levels 0..K below a negligible binomial tail are ever occupied
+(ladder_cut; K = 127 at N = 500, f = 0.1).  After the pump the observables
+need only the populations R[k, k] and the first off-diagonal R[k+1, k] =
+i rho[k+1, k]: each evolves under a constant bidiagonal generator, stepped
+exactly on the sample grid (propagate_sampled).
 """
 
 from __future__ import annotations
@@ -60,7 +63,10 @@ SUPERRADIANCE_COLUMNS = ("intensity", "g1", "jz")
 # the ladder keeps the levels below a binomial tail of _TAIL_TOL plus a margin
 _TAIL_TOL = 1e-18
 _CUT_MARGIN = 10
-# a pumped cut ladder whose top level ends above this is rerun in full
+# the pumped state in the drive's frame starts on the levels 0..8; a top level
+# that ends above _TOP_POPULATION_TOL doubles them (rerun) or, for the ladder
+# cut in the lab frame, keeps the full ladder
+_ROTATED_LEVELS = 8
 _TOP_POPULATION_TOL = 1e-14
 
 
@@ -182,6 +188,23 @@ def pump_fraction(model: EffectiveModel) -> float:
     return math.sin(0.5 * min(theta, math.pi)) ** 2
 
 
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(N, k) for k = 0..N, with log k! from math.lgamma."""
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])   # log k!
+    return log_fact[n] - log_fact - log_fact[::-1]
+
+
+def _log_binomial_pmf(log_binom: np.ndarray, log_p: float, log_q: float) -> np.ndarray:
+    """log C(N, k) + k log_p + (N - k) log_q for k = 0..N, given log_binom =
+    _log_binomials(N).  A term whose factor k or N - k is 0 is 0, also where
+    its log is -inf."""
+    n = log_binom.size - 1
+    k = np.arange(n + 1)
+    with np.errstate(invalid="ignore"):   # 0 * -inf, discarded by np.where
+        return (log_binom + np.where(k > 0, k * log_p, 0.0)
+                + np.where(k < n, (n - k) * log_q, 0.0))
+
+
 def ladder_cut(n_nuclei: int, fraction: float) -> int:
     """Highest Dicke level k a run tipped to at most `fraction` keeps.
 
@@ -191,52 +214,97 @@ def ladder_cut(n_nuclei: int, fraction: float) -> int:
     empty to roundoff.  Capped at N.
 
     The tail is summed from the top: P(X = j) = exp(log C(N, j) + j log f +
-    (N - j) log(1 - f)) with log C(N, j) from math.lgamma, and P(X > k) is
-    the reversed cumulative sum over j > k.  The (N - j) log(1 - f) term is 0
-    at j = N, also at f = 1 where log(1 - f) = -inf.
+    (N - j) log(1 - f)) (_log_binomial_pmf), and P(X > k) is the reversed
+    cumulative sum over j > k.  The (N - j) log(1 - f) term is 0 at j = N,
+    also at f = 1 where log(1 - f) = -inf.
     """
     n = n_nuclei
-    j = np.arange(1, n + 1)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])   # log k!
-    with np.errstate(divide="ignore", invalid="ignore"):   # log 0 at f = 0 or 1
-        log_pmf = (log_fact[n] - log_fact[1:] - log_fact[n - 1::-1] + j * np.log(fraction)
-                   + np.where(j < n, (n - j) * np.log1p(-fraction), 0.0))
+    with np.errstate(divide="ignore"):   # log 0 at f = 0 or 1
+        log_pmf = _log_binomial_pmf(_log_binomials(n), np.log(fraction),
+                                    np.log1p(-fraction))[1:]
     tails = np.append(np.cumsum(np.exp(log_pmf[::-1]))[::-1], 0.0)   # P(X > k), k = 0..N
     return min(int(np.argmax(tails < _TAIL_TOL)) + _CUT_MARGIN, n)
 
 
-def _pumped_rhs(model: EffectiveModel, cdn: np.ndarray):
-    """The master equation on R, rho = i^(l-k) R[k, l], over the levels 0..K,
-    K = len(cdn) - 1, with J+- cut to those levels:
+def _pump_angle(model: EffectiveModel, t0: float):
+    """phi(t), the angle the drive D(t) = drive_coupling |eta(t)| has turned
+    the state by since t0: its integral from t0, in closed form,
 
-        R' = D(t) (B + B^T) + gamma_eff S - W o R,  B = (J+ - J-) R,
+        phi(t) = drive_coupling |amplitude| width sqrt(pi / 2) (erf(x) - erf(x0)),
 
-    S[k, l] = c[k+1] c[l+1] R[k+1, l+1] the jump term and W[k, l] =
-    gamma_eff (c[k]^2 + c[l]^2) / 2 the anticommutator, c = cdn.  A symmetric
-    R gives a symmetric R' bit for bit.  D(t) is drive_coupling |eta(t)|: a
-    pump phase rotates the state about z, to which D[J-] and every recorded
-    column (populations, |<J->|) are blind."""
-    dim = cdn.size
-    c1 = cdn[1:, None]
-    gamma = model.gamma_eff
-    g2 = cdn**2
-    w_anti = 0.5 * gamma * (g2[:, None] + g2[None, :])
-    gcc = gamma * np.outer(cdn[1:], cdn[1:])
-    b = np.zeros((dim, dim))
-    s = np.zeros((dim, dim))   # its last row and column stay 0
+    x = (t - center) / (sqrt(2) width).  erf(x) - erf(x0) is taken as
+    erfc(-x) - erfc(-x0), which keeps its digits in the pulse's rising tail."""
+    pump = model.pump
+    scale = model.drive_coupling * abs(pump.amplitude) * pump.width * math.sqrt(0.5 * math.pi)
+    u = 1.0 / (math.sqrt(2.0) * pump.width)
+    start = math.erfc((pump.center - t0) * u)
+    return lambda t: scale * (math.erfc((pump.center - t) * u) - start)
+
+
+def _rotation(space: DickeSpace, m: int):
+    """columns(phi): the columns 0..m of O = expm(phi X), X = J+ - J-, on the
+    full ladder.
+
+    O is a rotation about y, so column 0, O|0>, is the coherent state
+    sqrt(C(N, k)) sin^k(phi) cos^(N-k)(phi) (Arecchi et al. 1972), and
+    O J+ O^T = cos^2(phi) J+ - sin^2(phi) J- + sin(2 phi) Jz gives column j + 1
+    as that tridiagonal matrix times column j, over c[j + 1].  A QR pass, with
+    the signs of the columns kept, makes them orthonormal to roundoff.
+    """
+    n = space.n_nuclei
+    cdn = space.lowering_amplitudes()[1:]
+    m_values = space.m_values()
+    log_binom = _log_binomials(n)
+    k = np.arange(n + 1)
+
+    def columns(phi):
+        s, c = math.sin(phi), math.cos(phi)
+        with np.errstate(divide="ignore"):   # log 0 at phi = 0
+            log_amp = 0.5 * _log_binomial_pmf(log_binom, 2.0 * np.log(abs(s)),
+                                              2.0 * np.log(abs(c)))
+        o = np.empty((n + 1, m + 1))
+        o[:, 0] = np.sign(s) ** k * np.sign(c) ** (n - k) * np.exp(log_amp)
+        diag = math.sin(2.0 * phi) * m_values
+        for j in range(m):
+            v, w = o[:, j], o[:, j + 1]
+            np.multiply(diag, v, out=w)
+            w[1:] += c * c * cdn * v[:-1]
+            w[:-1] -= s * s * cdn * v[1:]
+            w /= cdn[j]
+        q, r = np.linalg.qr(o)
+        return q * np.sign(r.diagonal())
+
+    return columns
+
+
+def _rotated_rhs(model: EffectiveModel, space: DickeSpace, m: int, angle):
+    """The pumped master equation in the frame the drive rotates, on the
+    levels 0..m.
+
+    R' = D(t) [X, R] + gamma_eff D[J-] R for rho = i^(l-k) R[k, l], X = J+ - J-.
+    With R = O R~ O^T, O = expm(phi X) and phi = angle(t), the drive drops out:
+
+        R~' = gamma_eff (L R~ L^T - {L^T L, R~} / 2),
+        L = O^T J- O = cos(2 phi) Jx - sin(2 phi) Jz - X / 2,  Jx = (J+ + J-) / 2,
+
+    with L cut to the levels 0..m, which keeps the trace.  rhs_pumped returns
+    Q + Q^T with Q = (L R~ L^T - L^T L R~) gamma_eff / 2, so a symmetric R~
+    gives a symmetric R~' bit for bit."""
+    dim = m + 1
+    c = space.lowering_amplitudes()[1:dim]
+    scale = math.sqrt(0.5 * model.gamma_eff)
+    jx = 0.5 * scale * (np.diag(c, 1) + np.diag(c, -1))
+    jz = scale * np.diag(space.m_values()[:dim])
+    xh = 0.5 * scale * (np.diag(c, -1) - np.diag(c, 1))
 
     def rhs_pumped(t, y):
         r = y.reshape(dim, dim)
-        d = model.drive_coupling * abs(model.pump.envelope(t))
-        np.multiply(c1, r[:-1], out=b[1:])
-        b[0] = 0.0
-        b[:-1] -= c1 * r[1:]
-        np.multiply(gcc, r[1:, 1:], out=s[:-1, :-1])
-        dr = b + b.T
-        dr *= d
-        dr += s
-        dr -= w_anti * r
-        return dr.ravel()
+        two_phi = 2.0 * angle(t)
+        lt = math.cos(two_phi) * jx - math.sin(two_phi) * jz - xh
+        lr = lt @ r
+        q = lr @ lt.T
+        q -= lt.T @ lr
+        return (q + q.T).ravel()
 
     return rhs_pumped
 
@@ -264,25 +332,25 @@ def simulate_superradiance(
 
     intensity I(t) = gamma_eff <J+ J->, g1(t) = |<J->| / sqrt(<J+ J->)
     (coherence fraction, set to 0 where <J+J-> <= 1e-12).  The pump runs on
-    DOP853 (rtol, atol) over the levels 0..K of ladder_cut, and is truncated at
-    pump_off_time (relative envelope e^-8), inside the pump's window
-    (DriveProfile.window), so every step is capped at half the width.  If
-    level K then holds more than 1e-14 the pump is rerun on the full ladder.
-    The free decay steps the populations and the first off-diagonal of R
-    exactly on the sample grid, which needs n_samples >= 2.  meta records
-    ladder_cut, top_population (level K's population at the end of the
-    pump), the health of R at that point, pump_trace_drift = |Tr R - 1| and
-    pump_min_eigenvalue (the smallest eigenvalue of R, which rho shares), and
-    solver, the solve_sampled stats of each pump run (empty without a pump).
+    DOP853 (rtol, atol) in the frame the drive rotates (_rotated_rhs), over
+    the levels 0..m of the rotated state, m = min(N, 8), doubled and the pump
+    rerun while level m ends above 1e-14.  It is truncated at pump_off_time
+    (relative envelope e^-8), inside the pump's window (DriveProfile.window),
+    so every step is capped at half the width.  The state goes back to the
+    lab frame on the levels 0..K of ladder_cut, or on the full ladder if level
+    K holds more than 1e-14 there.  The free decay steps the populations and
+    the first off-diagonal of R exactly on the sample grid, which needs
+    n_samples >= 2.  meta records ladder_cut (K), rotated_cut (m),
+    top_population (level K's population at the end of the pump), the health
+    of R at that point, pump_trace_drift = |Tr R - 1| and pump_min_eigenvalue
+    (the smallest eigenvalue of R, which rho shares), and solver, the
+    solve_sampled stats of each pump run (empty without a pump).
 
     Only the pump carries a tolerance error.  On figS1 (N = 50..500, f = 0.1)
-    at the defaults, intensity is within 1.4e-10 of its peak and g1 within
-    4.2e-10 of a run at rtol 1e-11, atol 1e-16, except where I < 1e-3 of the
-    peak.  There g1 is a ratio of two small numbers: within 1e-11 in the decay
-    tail, but set by atol at the first samples of the pump's rise (I below
-    1e-8 of the peak), off by up to 1.1e-4 at N = 350 (2.6e-5 at N = 250,
-    1.8e-5 at N = 400, 2.5e-5 at N = 500, 5e-13 at N = 50); rtol 1e-10, atol
-    1e-14 bring it to 2.5e-8.
+    at the defaults, intensity is within 1.2e-12 of its peak and g1 within
+    2.3e-10 of a run at rtol 1e-13, atol 1e-18, the far tail (I < 1e-3 of
+    the peak) included; g1 stays below 1 + 1.8e-10 and the smallest
+    eigenvalue above -3e-16.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -297,45 +365,53 @@ def simulate_superradiance(
     samples = np.linspace(t0, t1, int(n_samples))
     pumping = model.pump.amplitude != 0 and t_off > t0
     t_free = min(t_off, t1) if pumping else t0   # where the exact decay starts
-    cdn = space.lowering_amplitudes()
-    k_cut = ladder_cut(n, pump_fraction(model) if pumping else 0.0)
+    angle = _pump_angle(model, t0)
 
-    solver = []   # stats of each pump segment, a rerun on the full ladder included
+    solver = []   # stats of each pump run, a rerun on more levels included
 
-    def pump(k):
-        # (populations, coherences R[k+1, k]) at the samples up to t_free, R at t_free
-        r0 = np.zeros((k + 1, k + 1))
+    def pump(m):
+        # R~ at the samples up to t_free (one flattened row each) and at t_free
+        r0 = np.zeros((m + 1, m + 1))
         r0[0, 0] = 1.0
         if not pumping:
-            return [np.empty((0, k + 1)), np.empty((0, k))], r0
-
-        def diagonals(t, y):
-            r = y.reshape(k + 1, k + 1)
-            return r.diagonal().copy(), r.diagonal(-1).copy()
-
-        head, y_end, stats = solve_sampled(_pumped_rhs(model, cdn[:k + 1]), (t0, t_free),
+            return np.empty((0, r0.size)), r0
+        head, y_end, stats = solve_sampled(_rotated_rhs(model, space, m, angle), (t0, t_free),
                                            r0.ravel(), samples[samples <= t_free],
-                                           observe=diagonals, rtol=rtol, atol=atol,
-                                           pulse=model.pump.window)
+                                           rtol=rtol, atol=atol, pulse=model.pump.window)
         solver.extend(stats)
-        return head, y_end.reshape(k + 1, k + 1)
+        return head, y_end.reshape(m + 1, m + 1)
 
-    head, r_free = pump(k_cut)
-    if r_free[k_cut, k_cut] > _TOP_POPULATION_TOL and k_cut < n:
+    m = min(n, _ROTATED_LEVELS)
+    head, r_rot = pump(m)
+    while r_rot[m, m] > _TOP_POPULATION_TOL and m < n:
+        m = min(2 * m, n)
+        head, r_rot = pump(m)
+
+    k_cut = ladder_cut(n, pump_fraction(model) if pumping else 0.0)
+    columns = _rotation(space, m)
+    o = columns(angle(t_free))
+    if o[k_cut] @ r_rot @ o[k_cut] > _TOP_POPULATION_TOL:
         k_cut = n
-        head, r_free = pump(k_cut)
+
+    def lab(o, r):
+        # R = O R~ O^T on the levels 0..K
+        o = o[:k_cut + 1]
+        return o @ r @ o.T
+
+    r_free = lab(o, r_rot)
     top = float(r_free[k_cut, k_cut])
     # rho = S R S* with S = diag(i^k) is unitarily similar to R: same trace, same spectrum
     trace_drift = float(abs(np.trace(r_free) - 1.0))
     min_eigenvalue = float(np.linalg.eigvalsh(r_free)[0])
 
-    cdn = cdn[:k_cut + 1]
+    inside = [lab(columns(angle(t)), y.reshape(m + 1, m + 1)) for t, y in zip(samples, head)]
+    cdn = space.lowering_amplitudes()[:k_cut + 1]
     a_pop, a_coh = _decay_generators(cdn, gamma)
     tail = samples[samples > t_free] if pumping else samples
-    pops = np.concatenate([head[0], propagate_sampled(a_pop, r_free.diagonal(),
-                                                      t_free, tail)])
-    cohs = np.concatenate([head[1], propagate_sampled(a_coh, r_free.diagonal(-1),
-                                                      t_free, tail)])
+    pops = np.concatenate([np.reshape([r.diagonal() for r in inside], (-1, k_cut + 1)),
+                           propagate_sampled(a_pop, r_free.diagonal(), t_free, tail)])
+    cohs = np.concatenate([np.reshape([r.diagonal(-1) for r in inside], (-1, k_cut)),
+                           propagate_sampled(a_coh, r_free.diagonal(-1), t_free, tail)])
 
     jpjm = pops @ cdn**2
     jm = np.abs(cohs @ cdn[1:])
@@ -347,7 +423,7 @@ def simulate_superradiance(
         columns=SUPERRADIANCE_COLUMNS,
         meta={"n_nuclei": n, "gamma_eff": gamma, "t_off": t_off,
               "model": model, "rtol": rtol, "atol": atol,
-              "ladder_cut": k_cut, "top_population": top,
+              "ladder_cut": k_cut, "rotated_cut": m, "top_population": top,
               "pump_trace_drift": trace_drift, "pump_min_eigenvalue": min_eigenvalue,
               "solver": solver},
     )
@@ -356,9 +432,11 @@ def simulate_superradiance(
 def burst_diagnostics(ts: TimeSeries) -> dict:
     """Ladder truncation, bad-cavity and density-matrix health and pump work
     of a simulate_superradiance run: pump_steps and pump_nfev sum over its
-    pump segments, a rerun on the full ladder included (0 without a pump)."""
+    pump segments, a rerun on more rotated levels included (0 without a
+    pump)."""
     solver = ts.meta["solver"]
     return {"n_nuclei": ts.meta["n_nuclei"], "ladder_cut": ts.meta["ladder_cut"],
+            "rotated_cut": ts.meta["rotated_cut"],
             "top_population": ts.meta["top_population"],
             "pump_trace_drift": ts.meta["pump_trace_drift"],
             "pump_min_eigenvalue": ts.meta["pump_min_eigenvalue"],

@@ -156,12 +156,12 @@ def test_dicke_pump_is_scipys_run(monkeypatch):
     calls = recorded_solves(monkeypatch, superradiance, lambda: simulate_superradiance(
         model, DickeSpace(12), n_samples=300))
     assert len(calls) == 1
-    (rhs, *_), kwargs, result = calls[0]
+    (rhs, _, y0, samples), kwargs, result = calls[0]
     assert rhs.__qualname__.endswith("rhs_pumped")
-    assert kwargs["observe"].__name__ == "diagonals"
+    assert "observe" not in kwargs                # the 9 x 9 rotated state is stored per sample
     assert kwargs["pulse"] == model.pump.window
     (stats,) = result[2]                          # the cut at t_off is inside the window
-    assert stats["steps"] > 3 and len(result[0]) == 2
+    assert stats["steps"] > 3 and result[0].shape == (samples.size, y0.size) == (len(samples), 81)
     assert_same_run(calls[0][0], kwargs, result)
 
 

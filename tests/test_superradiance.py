@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import bdtrc
 
-from thcavity import superradiance
+from thcavity import _expm, superradiance
 from thcavity._integrate import solve_sampled
 from thcavity.cli import _SCHEMAS, _apply, _load_config
 from thcavity.lindblad import liouvillian
@@ -21,7 +22,9 @@ from thcavity.superradiance import (
     EffectiveModel,
     PulseResolutionError,
     _decay_generators,
-    _pumped_rhs,
+    _pump_angle,
+    _rotated_rhs,
+    _rotation,
     build_effective_model,
     burst_diagnostics,
     calibrate_pump,
@@ -319,19 +322,34 @@ def test_near_full_pump_keeps_the_whole_ladder():
     assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300))
 
 
-def test_guard_trip_reruns_the_pump_on_the_full_ladder(monkeypatch, spy_solves):
+def test_rotated_guard_trip_reruns_the_pump_on_twice_the_levels(monkeypatch, spy_solves):
     n = 40
     model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
-    monkeypatch.setattr(superradiance, "_TOP_POPULATION_TOL", -1.0)
+    monkeypatch.setattr(superradiance, "_ROTATED_LEVELS", 1)
     calls = spy_solves(superradiance)
     ts = simulate_superradiance(model, DickeSpace(n), n_samples=300,
                                 rtol=1e-10, atol=1e-12)
-    assert [y0.size for _, _, y0, _, _ in calls] == [38**2, 41**2]
-    assert ts.meta["ladder_cut"] == n
-    assert [s["steps"] > 0 and s["nfev"] > s["steps"] for s in ts.meta["solver"]] == [True] * 2
+    # levels 1 and 2 end above 1e-14, level 4 below
+    assert [y0.size for _, _, y0, _, _ in calls] == [2**2, 3**2, 5**2]
+    assert ts.meta["rotated_cut"] == 4 and ts.meta["ladder_cut"] == 37
+    assert [s["steps"] > 0 and s["nfev"] > s["steps"] for s in ts.meta["solver"]] == [True] * 3
     diag = burst_diagnostics(ts)
+    assert diag["rotated_cut"] == 4
     assert diag["pump_steps"] == sum(s["steps"] for s in ts.meta["solver"])
     assert diag["pump_nfev"] == sum(s["nfev"] for s in ts.meta["solver"])
+    assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300))
+
+
+def test_ladder_guard_trip_takes_the_full_ladder_without_a_second_solve(monkeypatch,
+                                                                       spy_solves):
+    n = 40
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    monkeypatch.setattr(superradiance, "ladder_cut", lambda n, fraction: 3)
+    calls = spy_solves(superradiance)
+    ts = simulate_superradiance(model, DickeSpace(n), n_samples=300,
+                                rtol=1e-10, atol=1e-12)
+    assert [y0.size for _, _, y0, _, _ in calls] == [9**2]
+    assert ts.meta["ladder_cut"] == n and ts.meta["rotated_cut"] == 8
     assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300))
 
 
@@ -364,9 +382,8 @@ def _random_symmetric(rng, dim):
 
 def test_pump_health_is_the_trace_and_spectrum_of_rho():
     """rho = S R S*, S = diag(i^k), shares R's trace and spectrum, so the
-    health of the pumped state needs only eigvalsh of the real R.  Its
-    smallest eigenvalue is the pump's tolerance error: it falls to roundoff
-    as the tolerances tighten."""
+    health of the pumped state needs only eigvalsh of the real R.  The pump
+    in the drive's frame keeps R positive to roundoff at any tolerance."""
     rng = np.random.default_rng(3)
     r = _random_symmetric(rng, 9)
     k = np.arange(9)
@@ -379,16 +396,75 @@ def test_pump_health_is_the_trace_and_spectrum_of_rho():
 
     n = 40
     model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
-    loose, tight = (simulate_superradiance(model, DickeSpace(n), n_samples=300,
-                                           rtol=rtol, atol=atol)
-                    for rtol, atol in ((1e-7, 1e-9), (1e-11, 1e-16)))
-    for ts in (loose, tight):
+    for rtol, atol in ((1e-7, 1e-9), (1e-11, 1e-16)):
+        ts = simulate_superradiance(model, DickeSpace(n), n_samples=300, rtol=rtol, atol=atol)
         assert 0.0 <= ts.meta["pump_trace_drift"] < 1e-14
+        assert -1e-12 <= ts.meta["pump_min_eigenvalue"] <= 1e-15
         diag = burst_diagnostics(ts)
         assert diag["pump_trace_drift"] == ts.meta["pump_trace_drift"]
         assert diag["pump_min_eigenvalue"] == ts.meta["pump_min_eigenvalue"]
-    assert -1e-6 < loose.meta["pump_min_eigenvalue"] < -1e-9
-    assert -1e-12 < tight.meta["pump_min_eigenvalue"] <= 1e-15
+
+
+@pytest.mark.parametrize("n", [350, 500])
+def test_figs1_runs_keep_g1_below_one_and_the_pumped_state_positive(n):
+    """figS1's model at the default tolerances.  |<J->|^2 <= <J+J-> for any
+    state (Cauchy-Schwarz), so g1 <= 1 up to roundoff, also at the first
+    samples of the pump's rise where g1 is a ratio of two small numbers."""
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    ts = simulate_superradiance(model, DickeSpace(n))
+    assert ts.column("g1").max() <= 1.0 + 1e-9
+    assert ts.meta["pump_min_eigenvalue"] >= -1e-12
+
+
+def drive_generator(space):
+    """X = J+ - J-, real antisymmetric: the drive term of R' is D(t) [X, R]."""
+    c = space.lowering_amplitudes()[1:]
+    return np.diag(c, -1) - np.diag(c, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+@pytest.mark.parametrize("phi", [0.0, 0.3, -0.7, math.pi / 2, 2.0, math.pi])
+def test_rotation_columns_are_the_exponential(n, phi):
+    space = DickeSpace(n)
+    m = min(n, 8)
+    np.testing.assert_allclose(_rotation(space, m)(phi),
+                               _expm.expm(phi * drive_generator(space))[:, :m + 1],
+                               rtol=0, atol=1e-12)
+
+
+def test_rotation_columns_at_zero_angle_are_the_unit_vectors():
+    """A run without a pump goes back to the lab frame through O = 1: exactly."""
+    for n in (1, 6, 500):
+        np.testing.assert_array_equal(_rotation(DickeSpace(n), min(n, 8))(0.0),
+                                      np.eye(n + 1)[:, :min(n, 8) + 1])
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_rotation_columns_are_orthonormal_on_a_long_ladder(m):
+    """To 1e-15 at N = 500.  The Gram matrix is summed in extended precision
+    (x86 long double), or the rounding of its 501-term sums (up to 1.3e-15)
+    would count against the columns."""
+    columns = _rotation(DickeSpace(500), m)
+    for phi in np.linspace(-3.2, 3.2, 65):
+        o = columns(phi).astype(np.longdouble)
+        assert np.abs(o.T @ o - np.eye(m + 1)).max() <= 1e-15, phi
+
+
+def test_pump_angle_is_the_integral_of_the_drive():
+    model = pumped_effective_model(bad_cavity_params(40), sigma=1e-4, fraction=0.1)
+    pump = model.pump
+
+    def drive(t):
+        return model.drive_coupling * abs(pump.envelope(t))
+
+    for t0 in (0.0, 3e-4, 6e-4):
+        angle = _pump_angle(model, t0)
+        assert angle(t0) == 0.0
+        for t in (1e-4, 4.5e-4, 5e-4, 7e-4, pump_off_time(pump)):
+            ref = quad(drive, t0, t, epsabs=0.0, epsrel=1e-13, points=[pump.center])[0]
+            assert angle(t) == pytest.approx(ref, rel=1e-12)
+    # the whole pulse turns |0> into the coherent state of excitation sin^2(phi) = f
+    assert math.sin(_pump_angle(model, -1.0)(1.0)) ** 2 == pytest.approx(0.1, rel=1e-12)
 
 
 def _ladder(n, data):
@@ -397,16 +473,24 @@ def _ladder(n, data):
     return DickeSpace(n).lowering_amplitudes()[:k + 1]
 
 
-@given(n=st.integers(1, 40), data=st.data(), t=st.floats(0.0, 1e-3),
-       phase=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
-def test_pumped_rhs_is_traceless_and_symmetric(n, data, t, phase, seed):
-    cdn = _ladder(n, data)
-    dim = cdn.size
-    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+def _pumped_model(n, data):
+    """A pumped model for N = n tipped to a fraction drawn by hypothesis, with a
+    drawn pump phase."""
+    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4,
+                                   fraction=data.draw(st.floats(0.01, 0.99)))
+    phase = data.draw(st.floats(-math.pi, math.pi))
     pump = model.pump
-    model = replace(model, pump=replace(pump, amplitude=pump.amplitude * np.exp(1j * phase)))
-    r = _random_symmetric(np.random.default_rng(seed), dim)
-    dr = _pumped_rhs(model, cdn)(t, r.ravel()).reshape(dim, dim)
+    return replace(model, pump=replace(pump, amplitude=pump.amplitude * np.exp(1j * phase)))
+
+
+@given(n=st.integers(1, 40), data=st.data(), t=st.floats(0.0, 1e-3),
+       seed=st.integers(0, 2**32 - 1))
+def test_rotated_rhs_is_traceless_and_symmetric(n, data, t, seed):
+    m = data.draw(st.integers(1, n))
+    model = _pumped_model(n, data)
+    r = _random_symmetric(np.random.default_rng(seed), m + 1)
+    dr = _rotated_rhs(model, DickeSpace(n), m, _pump_angle(model, 0.0))(t, r.ravel())
+    dr = dr.reshape(m + 1, m + 1)
     assert dr.dtype == np.float64
     assert abs(np.trace(dr)) <= 1e-12 * np.abs(dr).max()
     np.testing.assert_array_equal(dr, dr.T)
@@ -414,15 +498,26 @@ def test_pumped_rhs_is_traceless_and_symmetric(n, data, t, phase, seed):
 
 @given(n=st.integers(1, 40), data=st.data(), t=st.floats(0.0, 1e-3),
        seed=st.integers(0, 2**32 - 1))
-def test_pumped_rhs_is_the_complex_rhs_on_the_phase_pattern(n, data, t, seed):
-    cdn = _ladder(n, data)
-    dim = cdn.size
-    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
-    phi = phase_pattern(dim)
-    r = _random_symmetric(np.random.default_rng(seed), dim)
-    dr = _pumped_rhs(model, cdn)(t, r.ravel()).reshape(dim, dim)
-    drho = complex_pumped_rhs(model, cdn)(t, (phi * r).ravel()).reshape(dim, dim)
-    np.testing.assert_allclose(phi * dr, drho, rtol=0, atol=1e-14 * np.abs(drho).max())
+def test_rotated_rhs_is_the_lab_decay_in_the_drive_frame(n, data, t, seed):
+    """R = O R~ O^T, O = expm(phi X): R' = D [X, R] + O R~' O^T, so O R~' O^T
+    is the decay of R, here the pump-off complex RHS on rho = Phi o R.  The
+    levels 0..m hold the rotated state exactly when it lies below level m - 1
+    (L and L^T L reach two levels up), or when m = N."""
+    space = DickeSpace(n)
+    m = data.draw(st.integers(min(n, 2), n))
+    model = _pumped_model(n, data)
+    angle = _pump_angle(model, 0.0)
+    r = _random_symmetric(np.random.default_rng(seed), m + 1)
+    if m < n:
+        r[m - 1:] = r[:, m - 1:] = 0.0
+    dr = _rotated_rhs(model, space, m, angle)(t, r.ravel()).reshape(m + 1, m + 1)
+    o = _expm.expm(angle(t) * drive_generator(space))[:, :m + 1]
+    phi = phase_pattern(space.dim)
+    decay = complex_pumped_rhs(replace(model, pump=DriveProfile()), space.lowering_amplitudes())
+    lab = decay(t, (phi * (o @ r @ o.T)).ravel()).reshape(space.dim, space.dim)
+    # the scale of the decay's terms; lab itself is near 0 for a state near |0>
+    scale = model.gamma_eff * space.dim**2 * np.abs(r).max()
+    np.testing.assert_allclose(phi * (o @ dr @ o.T), lab, rtol=0, atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("n", [12, 40])
@@ -447,14 +542,16 @@ def test_the_complex_pump_keeps_the_phase_pattern(n):
 @given(n=st.integers(1, 60), data=st.data(), gamma=st.floats(1e-3, 1e3),
        seed=st.integers(0, 2**32 - 1))
 def test_decay_generators_are_the_free_rhs_on_two_diagonals(n, data, gamma, seed):
-    k = data.draw(st.integers(1, n))
-    cdn = DickeSpace(n).lowering_amplitudes()[:k + 1]
+    cdn = _ladder(n, data)
+    k = cdn.size - 1
     a_pop, a_coh = _decay_generators(cdn, gamma)
     # the populations' generator conserves the trace: its columns sum to 0
     np.testing.assert_allclose(a_pop.sum(axis=0), 0.0, atol=1e-14 * np.abs(a_pop).max())
     model = EffectiveModel(drive_coupling=1.0, gamma_eff=gamma)
     r = _random_symmetric(np.random.default_rng(seed), k + 1)
-    dr = _pumped_rhs(model, cdn)(0.0, r.ravel()).reshape(k + 1, k + 1)
+    phi = phase_pattern(k + 1)
+    drho = complex_pumped_rhs(model, cdn)(0.0, (phi * r).ravel()).reshape(k + 1, k + 1)
+    dr = (phi.conj() * drho).real
     tol = 1e-13 * np.abs(dr).max()
     np.testing.assert_allclose(a_pop @ r.diagonal(), dr.diagonal(), atol=tol)
     np.testing.assert_allclose(a_coh @ r.diagonal(-1), dr.diagonal(-1), atol=tol)
