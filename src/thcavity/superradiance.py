@@ -17,10 +17,10 @@ D [X, R] with X = J+ - J- real, a rotation about y by the angle phi(t) =
 integral of D, which has a closed form (erf).  So the pump runs in the frame
 the drive rotates, R = O R~ O^T with O = expm(phi X): there only the slow
 collective decay acts, and R~ stays on a few levels (0..8 up to N = 500), a
-9 x 9 state for DOP853.  The pump tips the ensemble to excitation fraction f
-with binomial(N, f) populations, and decay only lowers them, so in the lab
-frame only the levels 0..K below a negligible binomial tail are ever occupied
-(ladder_cut; K = 127 at N = 500, f = 0.1).  After the pump the observables
+9 x 9 state for DOP853.  Decay only lowers the populations, so in the lab
+frame the levels above those the pumped state holds stay empty: the ladder is
+cut at the level K above which the state at the end of the pump holds at most
+1e-14 (K = 105 at N = 500, f = 0.1).  After the pump the observables
 need only the populations R[k, k] and the first off-diagonal R[k+1, k] =
 i rho[k+1, k]: each evolves under a constant bidiagonal generator, stepped
 exactly on the sample grid (propagate_sampled).
@@ -46,8 +46,6 @@ __all__ = [
     "build_effective_model",
     "pumped_effective_model",
     "calibrate_pump",
-    "pump_fraction",
-    "ladder_cut",
     "simulate_superradiance",
     "burst_diagnostics",
     "post_pump_segment",
@@ -60,12 +58,10 @@ __all__ = [
 
 SUPERRADIANCE_COLUMNS = ("intensity", "g1", "jz")
 
-# the ladder keeps the levels below a binomial tail of _TAIL_TOL plus a margin
-_TAIL_TOL = 1e-18
-_CUT_MARGIN = 10
 # the pumped state in the drive's frame starts on the levels 0..8; a top level
-# that ends above _TOP_POPULATION_TOL doubles them (rerun) or, for the ladder
-# cut in the lab frame, keeps the full ladder
+# that ends above _TOP_POPULATION_TOL doubles them (rerun).  In the lab frame the
+# ladder keeps the levels up to the one above which that state holds at most
+# _TOP_POPULATION_TOL
 _ROTATED_LEVELS = 8
 _TOP_POPULATION_TOL = 1e-14
 
@@ -179,53 +175,6 @@ def pump_off_time(pump: DriveProfile) -> float:
     return pump.center + 4.0 * pump.width
 
 
-def pump_fraction(model: EffectiveModel) -> float:
-    """Largest excitation fraction the pump reaches: sin^2(theta / 2) for the
-    full-pulse area theta = 2 |drive_coupling * amplitude| sqrt(2 pi) width,
-    and 1 once theta passes pi (the Bloch vector then crosses the pole)."""
-    pump = model.pump
-    theta = 2.0 * abs(model.drive_coupling * pump.amplitude) * math.sqrt(2.0 * math.pi) * pump.width
-    return math.sin(0.5 * min(theta, math.pi)) ** 2
-
-
-def _log_binomials(n: int) -> np.ndarray:
-    """log C(N, k) for k = 0..N, with log k! from math.lgamma."""
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])   # log k!
-    return log_fact[n] - log_fact - log_fact[::-1]
-
-
-def _log_binomial_pmf(log_binom: np.ndarray, log_p: float, log_q: float) -> np.ndarray:
-    """log C(N, k) + k log_p + (N - k) log_q for k = 0..N, given log_binom =
-    _log_binomials(N).  A term whose factor k or N - k is 0 is 0, also where
-    its log is -inf."""
-    n = log_binom.size - 1
-    k = np.arange(n + 1)
-    with np.errstate(invalid="ignore"):   # 0 * -inf, discarded by np.where
-        return (log_binom + np.where(k > 0, k * log_p, 0.0)
-                + np.where(k < n, (n - k) * log_q, 0.0))
-
-
-def ladder_cut(n_nuclei: int, fraction: float) -> int:
-    """Highest Dicke level k a run tipped to at most `fraction` keeps.
-
-    A resonant pump turns |0> into a coherent state whose populations are
-    binomial(N, f) (Arecchi et al. 1972), and decay only lowers them, so levels
-    above the smallest K with P(X > K) < 1e-18, plus a margin of 10, stay
-    empty to roundoff.  Capped at N.
-
-    The tail is summed from the top: P(X = j) = exp(log C(N, j) + j log f +
-    (N - j) log(1 - f)) (_log_binomial_pmf), and P(X > k) is the reversed
-    cumulative sum over j > k.  The (N - j) log(1 - f) term is 0 at j = N,
-    also at f = 1 where log(1 - f) = -inf.
-    """
-    n = n_nuclei
-    with np.errstate(divide="ignore"):   # log 0 at f = 0 or 1
-        log_pmf = _log_binomial_pmf(_log_binomials(n), np.log(fraction),
-                                    np.log1p(-fraction))[1:]
-    tails = np.append(np.cumsum(np.exp(log_pmf[::-1]))[::-1], 0.0)   # P(X > k), k = 0..N
-    return min(int(np.argmax(tails < _TAIL_TOL)) + _CUT_MARGIN, n)
-
-
 def _pump_angle(model: EffectiveModel, t0: float):
     """phi(t), the angle the drive D(t) = drive_coupling |eta(t)| has turned
     the state by since t0: its integral from t0, in closed form,
@@ -254,14 +203,18 @@ def _rotation(space: DickeSpace, m: int):
     n = space.n_nuclei
     cdn = space.lowering_amplitudes()[1:]
     m_values = space.m_values()
-    log_binom = _log_binomials(n)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])   # log k!
+    log_binom = log_fact[n] - log_fact - log_fact[::-1]                  # log C(N, k)
     k = np.arange(n + 1)
 
     def columns(phi):
         s, c = math.sin(phi), math.cos(phi)
-        with np.errstate(divide="ignore"):   # log 0 at phi = 0
-            log_amp = 0.5 * _log_binomial_pmf(log_binom, 2.0 * np.log(abs(s)),
-                                              2.0 * np.log(abs(c)))
+        # log C(N, k) + k log s^2 + (N - k) log c^2, halved; a term whose factor
+        # k or N - k is 0 is 0, also where its log is -inf (phi = 0, pi/2, pi)
+        with np.errstate(divide="ignore", invalid="ignore"):   # log 0, 0 * -inf
+            log_s2, log_c2 = 2.0 * np.log(abs(s)), 2.0 * np.log(abs(c))
+            log_amp = 0.5 * (log_binom + np.where(k > 0, k * log_s2, 0.0)
+                             + np.where(k < n, (n - k) * log_c2, 0.0))
         o = np.empty((n + 1, m + 1))
         o[:, 0] = np.sign(s) ** k * np.sign(c) ** (n - k) * np.exp(log_amp)
         diag = math.sin(2.0 * phi) * m_values
@@ -337,10 +290,11 @@ def simulate_superradiance(
     rerun while level m ends above 1e-14.  It is truncated at pump_off_time
     (relative envelope e^-8), inside the pump's window (DriveProfile.window),
     so every step is capped at half the width.  The state goes back to the
-    lab frame on the levels 0..K of ladder_cut, or on the full ladder if level
-    K holds more than 1e-14 there.  The free decay steps the populations and
-    the first off-diagonal of R exactly on the sample grid, which needs
-    n_samples >= 2.  meta records ladder_cut (K), rotated_cut (m),
+    lab frame on the levels 0..K, K the smallest level (at least 1) above
+    which its populations at the end of the pump hold at most 1e-14; decay
+    only lowers them.  The free decay steps the populations and the first
+    off-diagonal of R exactly on the sample grid, which needs n_samples >= 2.
+    meta records ladder_cut (K), rotated_cut (m),
     top_population (level K's population at the end of the pump), the health
     of R at that point, pump_trace_drift = |Tr R - 1| and pump_min_eigenvalue
     (the smallest eigenvalue of R, which rho shares), and solver, the
@@ -387,11 +341,13 @@ def simulate_superradiance(
         m = min(2 * m, n)
         head, r_rot = pump(m)
 
-    k_cut = ladder_cut(n, pump_fraction(model) if pumping else 0.0)
     columns = _rotation(space, m)
     o = columns(angle(t_free))
-    if o[k_cut] @ r_rot @ o[k_cut] > _TOP_POPULATION_TOL:
-        k_cut = n
+    # K is the smallest level above which the lab populations (O R~ O^T)_kk hold
+    # at most _TOP_POPULATION_TOL; K >= 1 keeps a coherence R[1, 0] to step
+    pops = ((o @ r_rot) * o).sum(axis=1)
+    above = np.append(np.cumsum(pops[::-1])[-2::-1], 0.0)   # sum over j > k, k = 0..N
+    k_cut = max(int(np.argmax(above <= _TOP_POPULATION_TOL)), 1)
 
     def lab(o, r):
         # R = O R~ O^T on the levels 0..K
@@ -431,9 +387,10 @@ def simulate_superradiance(
 
 def burst_diagnostics(ts: TimeSeries) -> dict:
     """Ladder truncation, bad-cavity and density-matrix health and pump work
-    of a simulate_superradiance run: pump_steps and pump_nfev sum over its
-    pump segments, a rerun on more rotated levels included (0 without a
-    pump)."""
+    of a simulate_superradiance run: ladder_cut is the lab-frame cut K read
+    from the pumped state, rotated_cut the levels of the drive-frame state;
+    pump_steps and pump_nfev sum over its pump segments, a rerun on more
+    rotated levels included (0 without a pump)."""
     solver = ts.meta["solver"]
     return {"n_nuclei": ts.meta["n_nuclei"], "ladder_cut": ts.meta["ladder_cut"],
             "rotated_cut": ts.meta["rotated_cut"],

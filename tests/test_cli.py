@@ -6,7 +6,6 @@ import logging
 import math
 import os
 import pkgutil
-import shutil
 import subprocess
 import sys
 import warnings
@@ -29,8 +28,9 @@ from thcavity.cli import (
 from thcavity.maxwell_bloch import rabi_scaling_fit
 from thcavity.params import ModelParams
 
-CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "scripts" / "configs"
+PERFBENCH = REPO / "perfbench"
 
 SPECTRUM_YAML = """\
 experiment: spectrum
@@ -188,11 +188,16 @@ def test_every_exported_name_resolves(module):
 
 
 def test_console_script_list():
-    exe = shutil.which("thcavity")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    res = subprocess.run([exe, "list"], capture_output=True, text=True)
-    assert res.returncode == 0
+    """The entry point pyproject.toml declares, called as the installed script
+    would call it, from the source tree."""
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
+    module, function = scripts["thcavity"].split(":")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    res = subprocess.run([sys.executable, "-c",
+                          f"import sys, {module}; sys.exit({module}.{function}())", "list"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
     assert "sweep → Fig. 4" in res.stdout
 
 
@@ -516,10 +521,15 @@ def test_deleted_settings_are_unknown_fields(tmp_path, capsys, name, keys, value
         ("phase-diagram", ("grid", "sqrt_n", "n"), 1),
         ("sweep", ("sampling", "n_samples"), 5),
         ("rabi", ("tolerances", "n_samples"), 8),
+        ("superradiance", ("pump", "sigma"), 1.0e3),
+        ("lifetime", ("pump", "sigma"), 1.0e3),
         ("lindblad11", ("time", "n_samples"), 1),
         ("sweep-scan", ("protocol", "t_start"), -0.5),
         ("sweep-scan", ("protocol", "t_end"), 0.5),
-    ]])
+    ]] + [
+    # 12 and 32 samples alias the |alpha|^2 peaks (slopes 0.298 and 0.925)
+    pytest.param("rabi", ("tolerances", "n_samples"), n, id=f"rabi-tolerances.n_samples-{n}")
+    for n in (12, 32)])
 def test_a_value_the_run_cannot_use_is_a_config_error(tmp_path, capsys, name, keys, value):
     cfg = _set(yaml.safe_load(MINIMAL_CONFIGS[name]), keys, value)
     path = write(tmp_path, yaml.safe_dump(cfg))
