@@ -22,7 +22,6 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +54,7 @@ from .superradiance import (
     post_pump_segment,
     pulse_width_fwhm,
     pumped_effective_model,
-    simulate_superradiance,
+    simulate_bursts,
 )
 from .sweep import (
     NoJumpError,
@@ -473,12 +472,6 @@ def _check_pump_sigma(p, sigma):
                           "must be fast against the collective decay")
 
 
-def _superradiance_run(n, p, sigma, fraction, n_samples):
-    pn = replace(p, n_nuclei=int(n))
-    model = pumped_effective_model(pn, sigma=sigma, fraction=fraction)
-    return simulate_superradiance(model, DickeSpace(int(n)), n_samples=n_samples)
-
-
 def _run_superradiance(cfg, out, prefix, map_fn):
     mod, pump = cfg["model"], cfg["pump"]
     ns = cfg["runs"]["n_nuclei"]
@@ -489,10 +482,12 @@ def _run_superradiance(cfg, out, prefix, map_fn):
         raise ConfigError("pump.fraction: must be in (0, 1)")
     _check_pump_sigma(replace(p, n_nuclei=max(ns)), pump["sigma"])
 
-    work = partial(_superradiance_run, p=p, sigma=pump["sigma"],
-                   fraction=pump["fraction"],
-                   n_samples=cfg["tolerances"]["n_samples"])
-    runs = list(map_fn(work, ns))
+    # the runs share the pump's window: one pump solve for the whole scan
+    runs = list(simulate_bursts(
+        [(pumped_effective_model(replace(p, n_nuclei=int(n)), sigma=pump["sigma"],
+                                 fraction=pump["fraction"]), DickeSpace(int(n)))
+         for n in ns],
+        n_samples=cfg["tolerances"]["n_samples"]))
 
     files = []
     for n, ts in zip(ns, runs):
@@ -534,7 +529,7 @@ def _run_lifetime(cfg, out, prefix, map_fn):
     _check_pump_sigma(replace(p, kappa_vuv=min(kappas)), pump["sigma"])
     scan = lifetime_vs_kappa(p, kappas, pump_sigma=pump["sigma"],
                              fraction=pump["fraction"],
-                             n_samples=cfg["tolerances"]["n_samples"], map_fn=map_fn)
+                             n_samples=cfg["tolerances"]["n_samples"])
     files = [write_csv(out / f"{prefix}.csv", ("kappa", "tau_eff"),
                        list(zip(*scan.points)))]
     files.append(write_json(out / f"{prefix}_fit.json", {
@@ -648,15 +643,31 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser with SafeLoader's constructor and resolver: the same
+    dicts, parsed an order of magnitude faster.  Only floats resolve as in
+    YAML 1.2, where 1e-4 and 1.0e3 are numbers; YAML 1.1 needs a dot and a
+    signed exponent (1.0e-4, 1.0e+3) and reads the others as strings."""
+
+
+_FLOAT = "tag:yaml.org,2002:float"
+# the resolvers of YAML 1.1 without its float, copied so the shared class keeps
+# its own; the YAML 1.2 float pattern also matches integers, so it goes last
+_ConfigLoader.yaml_implicit_resolvers = {
+    first: [(tag, regexp) for tag, regexp in resolvers if tag != _FLOAT]
+    for first, resolvers in _ConfigLoader.yaml_implicit_resolvers.items()}
+_ConfigLoader.add_implicit_resolver(_FLOAT, re.compile(
+    r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+    r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"), list("-+0123456789."))
+
+
 def _load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
     try:
-        # libyaml's parser with SafeLoader's constructor and resolver: the same
-        # dicts, parsed an order of magnitude faster
-        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from None
     if not isinstance(raw, dict):
@@ -693,8 +704,7 @@ def run_config(config_path, *, out_dir=None, jobs=None, expected=None):
     out = Path(out_dir) if out_dir is not None else Path("runs") / name
     out.mkdir(parents=True, exist_ok=True)
 
-    uses_grid = (name in ("superradiance", "lifetime")
-                 or (name == "sweep" and "scan" in cfg))
+    uses_grid = name == "sweep" and "scan" in cfg
     pool = _pool_map(jobs) if uses_grid and jobs != 1 else nullcontext(map)
 
     start = time.perf_counter()

@@ -17,10 +17,14 @@ D [X, R] with X = J+ - J- real, a rotation about y by the angle phi(t) =
 integral of D, which has a closed form (erf).  So the pump runs in the frame
 the drive rotates, R = O R~ O^T with O = expm(phi X): there only the slow
 collective decay acts, and R~ stays on a few levels (0..8 up to N = 500), a
-9 x 9 state for DOP853.  Decay only lowers the populations, so in the lab
-frame the levels above those the pumped state holds stay empty: the ladder is
-cut at the level K above which the state at the end of the pump holds at most
-1e-14 (K = 105 at N = 500, f = 0.1).  After the pump the observables
+9 x 9 state for DOP853.  The runs of a scan (a burst scan over N, a lifetime
+scan over kappa_vuv) share the pump's window, so simulate_bursts steps all
+their pumps as one DOP853 solve of the stacked states; the steps, capped at
+half the pump's width, are those of each run alone.  Decay only lowers the
+populations, so in the lab frame the levels above those the pumped state
+holds stay empty: each run's ladder is cut at the level K above which its
+state at the end of the pump holds at most 1e-14 (K = 105 at N = 500,
+f = 0.1).  After the pump the observables
 need only the populations R[k, k] and the first off-diagonal R[k+1, k] =
 i rho[k+1, k]: each evolves under a constant bidiagonal generator, stepped
 exactly on the sample grid (propagate_sampled).
@@ -30,8 +34,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -47,6 +51,7 @@ __all__ = [
     "pumped_effective_model",
     "calibrate_pump",
     "simulate_superradiance",
+    "simulate_bursts",
     "burst_diagnostics",
     "post_pump_segment",
     "pulse_width_fwhm",
@@ -175,16 +180,19 @@ def pump_off_time(pump: DriveProfile) -> float:
     return pump.center + 4.0 * pump.width
 
 
-def _pump_angle(model: EffectiveModel, t0: float):
-    """phi(t), the angle the drive D(t) = drive_coupling |eta(t)| has turned
-    the state by since t0: its integral from t0, in closed form,
+def _pump_angle(models, t0: float):
+    """phi(t), the angles by which the drives D_b(t) = drive_coupling_b
+    |eta_b(t)| of models that share one pulse window have turned their states
+    since t0, as a vector: each is its drive's integral from t0, in closed form,
 
-        phi(t) = drive_coupling |amplitude| width sqrt(pi / 2) (erf(x) - erf(x0)),
+        phi_b(t) = drive_coupling_b |amplitude_b| width sqrt(pi / 2) (erf(x) - erf(x0)),
 
-    x = (t - center) / (sqrt(2) width).  erf(x) - erf(x0) is taken as
-    erfc(-x) - erfc(-x0), which keeps its digits in the pulse's rising tail."""
-    pump = model.pump
-    scale = model.drive_coupling * abs(pump.amplitude) * pump.width * math.sqrt(0.5 * math.pi)
+    x = (t - center) / (sqrt(2) width), common to all models.  erf(x) - erf(x0)
+    is taken as erfc(-x) - erfc(-x0), which keeps its digits in the pulse's
+    rising tail."""
+    pump = models[0].pump
+    scale = np.array([m.drive_coupling * abs(m.pump.amplitude) * m.pump.width
+                      * math.sqrt(0.5 * math.pi) for m in models])
     u = 1.0 / (math.sqrt(2.0) * pump.width)
     start = math.erfc((pump.center - t0) * u)
     return lambda t: scale * (math.erfc((pump.center - t) * u) - start)
@@ -230,34 +238,42 @@ def _rotation(space: DickeSpace, m: int):
     return columns
 
 
-def _rotated_rhs(model: EffectiveModel, space: DickeSpace, m: int, angle):
-    """The pumped master equation in the frame the drive rotates, on the
-    levels 0..m.
+def _rotated_rhs(runs, m: int, angle):
+    """The pumped master equations of runs, (model, space) pairs, in the frames
+    their drives rotate, stacked on the levels 0..m: the state is (B, m+1, m+1).
 
     R' = D(t) [X, R] + gamma_eff D[J-] R for rho = i^(l-k) R[k, l], X = J+ - J-.
-    With R = O R~ O^T, O = expm(phi X) and phi = angle(t), the drive drops out:
+    With R = O R~ O^T, O = expm(phi X) and phi = angle(t)[b], the drive drops
+    out:
 
         R~' = gamma_eff (L R~ L^T - {L^T L, R~} / 2),
         L = O^T J- O = cos(2 phi) Jx - sin(2 phi) Jz - X / 2,  Jx = (J+ + J-) / 2,
 
-    with L cut to the levels 0..m, which keeps the trace.  rhs_pumped returns
+    with L cut to the levels 0..m, which keeps the trace.  A run with N < m
+    has L = 0 above level N, so those levels stay empty.  rhs_pumped returns
     Q + Q^T with Q = (L R~ L^T - L^T L R~) gamma_eff / 2, so a symmetric R~
     gives a symmetric R~' bit for bit."""
-    dim = m + 1
-    c = space.lowering_amplitudes()[1:dim]
-    scale = math.sqrt(0.5 * model.gamma_eff)
-    jx = 0.5 * scale * (np.diag(c, 1) + np.diag(c, -1))
-    jz = scale * np.diag(space.m_values()[:dim])
-    xh = 0.5 * scale * (np.diag(c, -1) - np.diag(c, 1))
+    jx, jz, xh = np.zeros((3, len(runs), m + 1, m + 1))
+    for b, (model, space) in enumerate(runs):
+        k = min(space.n_nuclei, m) + 1
+        scale = math.sqrt(0.5 * model.gamma_eff)
+        jm = scale * np.diag(space.lowering_amplitudes()[1:k], 1)   # J- on the levels 0..k-1
+        jx[b, :k, :k] = 0.5 * (jm + jm.T)
+        jz[b, :k, :k] = scale * np.diag(space.m_values()[:k])
+        xh[b, :k, :k] = 0.5 * (jm.T - jm)
 
     def rhs_pumped(t, y):
-        r = y.reshape(dim, dim)
-        two_phi = 2.0 * angle(t)
-        lt = math.cos(two_phi) * jx - math.sin(two_phi) * jz - xh
+        r = y.reshape(jx.shape)
+        # math's cos and sin of the B angles: numpy's vector kernels would page
+        # in code that nothing else in a run touches
+        cos, sin = np.array([(math.cos(x), math.sin(x))
+                             for x in (2.0 * angle(t)).tolist()]).T[:, :, None, None]
+        lt = cos * jx - sin * jz - xh
+        ltt = lt.transpose(0, 2, 1)
         lr = lt @ r
-        q = lr @ lt.T
-        q -= lt.T @ lr
-        return (q + q.T).ravel()
+        q = lr @ ltt
+        q -= ltt @ lr
+        return (q + q.transpose(0, 2, 1)).ravel()
 
     return rhs_pumped
 
@@ -281,24 +297,49 @@ def simulate_superradiance(
     rtol: float = 1e-7,
     atol: float = 1e-9,
 ) -> TimeSeries:
-    """Evolve from the fully de-excited state; record intensity, g1, <Jz>.
+    """One run of simulate_bursts: evolve from the fully de-excited state and
+    record intensity, g1, <Jz>."""
+    return next(simulate_bursts([(model, space)], t_span, n_samples=n_samples,
+                                rtol=rtol, atol=atol))
+
+
+def simulate_bursts(
+    runs,
+    t_span: tuple[float, float] | None = None,
+    *,
+    n_samples: int = 1200,
+    rtol: float = 1e-7,
+    atol: float = 1e-9,
+) -> Iterator[TimeSeries]:
+    """Evolve each (model, space) pair of runs from the fully de-excited state;
+    return an iterator of one TimeSeries per run, in order, of intensity, g1
+    and <Jz>.  The shared pump solve runs at the call, and each run's free
+    decay when the iterator reaches it.
 
     intensity I(t) = gamma_eff <J+ J->, g1(t) = |<J->| / sqrt(<J+ J->)
-    (coherence fraction, set to 0 where <J+J-> <= 1e-12).  The pump runs on
-    DOP853 (rtol, atol) in the frame the drive rotates (_rotated_rhs), over
-    the levels 0..m of the rotated state, m = min(N, 8), doubled and the pump
-    rerun while level m ends above 1e-14.  It is truncated at pump_off_time
-    (relative envelope e^-8), inside the pump's window (DriveProfile.window),
-    so every step is capped at half the width.  The state goes back to the
-    lab frame on the levels 0..K, K the smallest level (at least 1) above
-    which its populations at the end of the pump hold at most 1e-14; decay
-    only lowers them.  The free decay steps the populations and the first
-    off-diagonal of R exactly on the sample grid, which needs n_samples >= 2.
-    meta records ladder_cut (K), rotated_cut (m),
+    (coherence fraction, set to 0 where <J+J-> <= 1e-12).  Each run samples
+    n_samples points of t_span, by default (0, t_off + 12 / (N gamma_eff)).
+    The runs must share their pump's window (center and width; a run without
+    a pump shares only with runs without one), so they share the pump's end
+    t_off and the drive's angle up to a factor per run (_pump_angle).  Their
+    pumps run as one DOP853 solve (rtol, atol) of the stacked states in the
+    frames the drives rotate (_rotated_rhs), over the levels 0..m of the
+    rotated states, m = min(largest N, 8), doubled and the stack rerun while
+    level m of any run with N > m ends above 1e-14.  The solve is truncated
+    at pump_off_time (relative envelope e^-8), inside the pump's window
+    (DriveProfile.window), so every step is capped at half the width; it
+    samples the union of the runs' sample times up to there.  Each run then
+    goes on alone: its state goes back to the lab frame on the levels 0..K,
+    K the smallest level (at least 1) above which its populations at the end
+    of the pump hold at most 1e-14; decay only lowers them.  The free decay
+    steps the populations and the first off-diagonal of R exactly on the
+    run's sample grid, which needs n_samples >= 2.  meta records
+    ladder_cut (K), rotated_cut (the run's levels of the rotated state),
     top_population (level K's population at the end of the pump), the health
     of R at that point, pump_trace_drift = |Tr R - 1| and pump_min_eigenvalue
     (the smallest eigenvalue of R, which rho shares), and solver, the
-    solve_sampled stats of each pump run (empty without a pump).
+    solve_sampled stats of the shared pump solve, a rerun on more levels
+    included (empty without a pump).
 
     Only the pump carries a tolerance error.  On figS1 (N = 50..500, f = 0.1)
     at the defaults, intensity is within 1.2e-12 of its peak and g1 within
@@ -306,91 +347,102 @@ def simulate_superradiance(
     the peak) included; g1 stays below 1 + 1.8e-10 and the smallest
     eigenvalue above -3e-16.
     """
+    runs = list(runs)
+    models = [model for model, _ in runs]
+    if len({(m.pump.center, m.pump.width) if m.pump.window else None for m in models}) != 1:
+        raise ValueError("simulate_bursts needs runs that share one pump window")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    n = space.n_nuclei
-    gamma = model.gamma_eff
-    t_off = pump_off_time(model.pump)
-    if t_span is None:
-        tail = 12.0 / (n * gamma) if gamma > 0 else 1.0
-        t_span = (0.0, t_off + tail)
+    pump = models[0].pump
+    t_off = pump_off_time(pump)
+    t0 = 0.0 if t_span is None else t_span[0]
+    ends = [t_off + (12.0 / (space.n_nuclei * model.gamma_eff) if model.gamma_eff > 0 else 1.0)
+            if t_span is None else t_span[1] for model, space in runs]
+    pumping = pump.amplitude != 0 and t_off > t0
+    t_free = min(t_off, *ends) if pumping else t0   # where the exact decay starts
+    angle = _pump_angle(models, t0)
+    # the pump samples the union of the runs' samples up to t_free (a set:
+    # np.unique would page in 1.6 MB of numpy for a few numbers)
+    heads = [t[t <= t_free] if pumping else t[:0]
+             for t in (np.linspace(t0, t1, int(n_samples)) for t1 in ends)]
+    head_times = np.array(sorted(set(np.concatenate(heads).tolist())))
+    ns = np.array([space.n_nuclei for _, space in runs])
+    m, solver = min(int(ns.max()), _ROTATED_LEVELS), []
+    while True:   # the level guard reruns the whole stack on twice the levels
+        shape = (len(runs), m + 1, m + 1)
+        r_end = np.zeros(shape)
+        r_end[:, 0, 0] = 1.0
+        head = np.empty((0, *shape))
+        if pumping:
+            head, r_end, stats = solve_sampled(_rotated_rhs(runs, m, angle), (t0, t_free),
+                                               r_end.ravel(), head_times, rtol=rtol,
+                                               atol=atol, pulse=pump.window)
+            solver.extend(stats)
+            head, r_end = head.reshape(-1, *shape), r_end.reshape(shape)
+        if m == ns.max() or not (r_end[ns > m, m, m] > _TOP_POPULATION_TOL).any():
+            break
+        m = min(2 * m, int(ns.max()))
 
-    t0, t1 = t_span
-    samples = np.linspace(t0, t1, int(n_samples))
-    pumping = model.pump.amplitude != 0 and t_off > t0
-    t_free = min(t_off, t1) if pumping else t0   # where the exact decay starts
-    angle = _pump_angle(model, t0)
+    def run(b, model, space, t1, times):
+        # the lab frame, the K cut and the exact decay of run b alone
+        n, gamma = space.n_nuclei, model.gamma_eff
+        samples = np.linspace(t0, t1, int(n_samples))
+        m = min(r_end.shape[1] - 1, n)   # the run's own levels; those above are empty
+        columns = _rotation(space, m)
+        o = columns(angle(t_free)[b])
+        r_rot = r_end[b, :m + 1, :m + 1]
+        # K is the smallest level above which the lab populations (O R~ O^T)_kk
+        # hold at most _TOP_POPULATION_TOL; K >= 1 keeps a coherence R[1, 0] to step
+        pops = ((o @ r_rot) * o).sum(axis=1)
+        above = np.append(np.cumsum(pops[::-1])[-2::-1], 0.0)   # sum over j > k, k = 0..N
+        k_cut = max(int(np.argmax(above <= _TOP_POPULATION_TOL)), 1)
 
-    solver = []   # stats of each pump run, a rerun on more levels included
+        def lab(o, r):
+            # R = O R~ O^T on the levels 0..K
+            o = o[:k_cut + 1]
+            return o @ r @ o.T
 
-    def pump(m):
-        # R~ at the samples up to t_free (one flattened row each) and at t_free
-        r0 = np.zeros((m + 1, m + 1))
-        r0[0, 0] = 1.0
-        if not pumping:
-            return np.empty((0, r0.size)), r0
-        head, y_end, stats = solve_sampled(_rotated_rhs(model, space, m, angle), (t0, t_free),
-                                           r0.ravel(), samples[samples <= t_free],
-                                           rtol=rtol, atol=atol, pulse=model.pump.window)
-        solver.extend(stats)
-        return head, y_end.reshape(m + 1, m + 1)
+        r_free = lab(o, r_rot)
+        inside = [lab(columns(angle(t)[b]), r[b, :m + 1, :m + 1])
+                  for t, r in zip(times, head[np.searchsorted(head_times, times)])]
+        cdn = space.lowering_amplitudes()[:k_cut + 1]
+        a_pop, a_coh = _decay_generators(cdn, gamma)
+        tail = samples[len(times):]
+        # the populations go to their columns before the coherences are stepped,
+        # so one (samples, K + 1) array and its copy are held at a time
+        pops = np.concatenate([np.reshape([r.diagonal() for r in inside], (-1, k_cut + 1)),
+                               propagate_sampled(a_pop, r_free.diagonal(), t_free, tail)])
+        jpjm, jz = pops @ cdn**2, pops @ space.m_values()[:k_cut + 1]
+        del pops
+        cohs = np.concatenate([np.reshape([r.diagonal(-1) for r in inside], (-1, k_cut)),
+                               propagate_sampled(a_coh, r_free.diagonal(-1), t_free, tail)])
+        jm = np.abs(cohs @ cdn[1:])
+        g1 = np.where(jpjm > 1e-12, jm / np.sqrt(np.maximum(jpjm, 1e-12)), 0.0)
+        # rho = S R S* with S = diag(i^k) is unitarily similar to R: same trace, same spectrum
+        return TimeSeries(
+            times=samples,
+            values=np.column_stack([gamma * jpjm, g1, jz]),
+            columns=SUPERRADIANCE_COLUMNS,
+            meta={"n_nuclei": n, "gamma_eff": gamma, "t_off": t_off, "model": model,
+                  "rtol": rtol, "atol": atol, "ladder_cut": k_cut, "rotated_cut": m,
+                  "top_population": float(r_free[k_cut, k_cut]),
+                  "pump_trace_drift": float(abs(np.trace(r_free) - 1.0)),
+                  "pump_min_eigenvalue": float(np.linalg.eigvalsh(r_free)[0]),
+                  "solver": solver},
+        )
 
-    m = min(n, _ROTATED_LEVELS)
-    head, r_rot = pump(m)
-    while r_rot[m, m] > _TOP_POPULATION_TOL and m < n:
-        m = min(2 * m, n)
-        head, r_rot = pump(m)
-
-    columns = _rotation(space, m)
-    o = columns(angle(t_free))
-    # K is the smallest level above which the lab populations (O R~ O^T)_kk hold
-    # at most _TOP_POPULATION_TOL; K >= 1 keeps a coherence R[1, 0] to step
-    pops = ((o @ r_rot) * o).sum(axis=1)
-    above = np.append(np.cumsum(pops[::-1])[-2::-1], 0.0)   # sum over j > k, k = 0..N
-    k_cut = max(int(np.argmax(above <= _TOP_POPULATION_TOL)), 1)
-
-    def lab(o, r):
-        # R = O R~ O^T on the levels 0..K
-        o = o[:k_cut + 1]
-        return o @ r @ o.T
-
-    r_free = lab(o, r_rot)
-    top = float(r_free[k_cut, k_cut])
-    # rho = S R S* with S = diag(i^k) is unitarily similar to R: same trace, same spectrum
-    trace_drift = float(abs(np.trace(r_free) - 1.0))
-    min_eigenvalue = float(np.linalg.eigvalsh(r_free)[0])
-
-    inside = [lab(columns(angle(t)), y.reshape(m + 1, m + 1)) for t, y in zip(samples, head)]
-    cdn = space.lowering_amplitudes()[:k_cut + 1]
-    a_pop, a_coh = _decay_generators(cdn, gamma)
-    tail = samples[samples > t_free] if pumping else samples
-    pops = np.concatenate([np.reshape([r.diagonal() for r in inside], (-1, k_cut + 1)),
-                           propagate_sampled(a_pop, r_free.diagonal(), t_free, tail)])
-    cohs = np.concatenate([np.reshape([r.diagonal(-1) for r in inside], (-1, k_cut)),
-                           propagate_sampled(a_coh, r_free.diagonal(-1), t_free, tail)])
-
-    jpjm = pops @ cdn**2
-    jm = np.abs(cohs @ cdn[1:])
-    g1 = np.where(jpjm > 1e-12, jm / np.sqrt(np.maximum(jpjm, 1e-12)), 0.0)
-    values = np.column_stack([gamma * jpjm, g1, pops @ space.m_values()[:k_cut + 1]])
-    return TimeSeries(
-        times=samples,
-        values=values,
-        columns=SUPERRADIANCE_COLUMNS,
-        meta={"n_nuclei": n, "gamma_eff": gamma, "t_off": t_off,
-              "model": model, "rtol": rtol, "atol": atol,
-              "ladder_cut": k_cut, "rotated_cut": m, "top_population": top,
-              "pump_trace_drift": trace_drift, "pump_min_eigenvalue": min_eigenvalue,
-              "solver": solver},
-    )
+    # lazily, so a caller that reduces each run in turn holds one run's series
+    return (run(b, model, space, t1, times)
+            for b, ((model, space), t1, times) in enumerate(zip(runs, ends, heads)))
 
 
 def burst_diagnostics(ts: TimeSeries) -> dict:
     """Ladder truncation, bad-cavity and density-matrix health and pump work
-    of a simulate_superradiance run: ladder_cut is the lab-frame cut K read
-    from the pumped state, rotated_cut the levels of the drive-frame state;
-    pump_steps and pump_nfev sum over its pump segments, a rerun on more
-    rotated levels included (0 without a pump)."""
+    of a simulate_bursts run: ladder_cut is the lab-frame cut K read from the
+    pumped state, rotated_cut the levels of the drive-frame state; pump_steps
+    and pump_nfev are those of the pump solve the run shared with the others
+    of its call, summed over its segments and a rerun on more rotated levels
+    (0 without a pump)."""
     solver = ts.meta["solver"]
     return {"n_nuclei": ts.meta["n_nuclei"], "ladder_cut": ts.meta["ladder_cut"],
             "rotated_cut": ts.meta["rotated_cut"],
@@ -503,15 +555,6 @@ class LifetimeScan:
     diagnostics: tuple  # burst_diagnostics per point, with kappa_vuv
 
 
-def _lifetime_scan_point(kappa, p, pump_sigma, fraction, n_samples):
-    pk = replace(p, kappa_vuv=kappa)
-    model = pumped_effective_model(pk, sigma=pump_sigma, fraction=fraction)
-    ts = simulate_superradiance(model, DickeSpace(p.n_nuclei), n_samples=n_samples)
-    seg_t, seg_i = post_pump_segment(ts)
-    return (kappa, pulse_width_fwhm(seg_t, seg_i)), {"kappa_vuv": kappa,
-                                                     **burst_diagnostics(ts)}
-
-
 def lifetime_vs_kappa(
     p: ModelParams,
     kappa_values,
@@ -519,23 +562,27 @@ def lifetime_vs_kappa(
     pump_sigma: float,
     fraction: float = 0.1,
     n_samples: int = 1600,
-    map_fn=map,
 ) -> LifetimeScan:
     """Pulse width tau_eff(kappa) at fixed (N, g), with a linear fit.
 
     The pump is re-calibrated per kappa so every run starts its free decay from
     the same tipped state; the post-pump dynamics then depend on time only
     through gamma_eff * t, making tau_eff proportional to 1/gamma_eff ~ kappa
-    up to the small gamma_minus offset.  Each run is a simulate_superradiance
-    at its default pump tolerances.  map_fn may be an executor's map.
+    up to the small gamma_minus offset.  The runs share their pump window, so
+    they are one simulate_bursts call at its default pump tolerances.
     """
     kappas = sorted(float(k) for k in kappa_values)
     if len(set(kappas)) < 3:
         raise ValueError(f"need >= 3 distinct kappa values, got {kappas}")
 
-    work = partial(_lifetime_scan_point, p=p, pump_sigma=pump_sigma,
-                   fraction=fraction, n_samples=n_samples)
-    points, diagnostics = zip(*map_fn(work, kappas))
+    space = DickeSpace(p.n_nuclei)
+    runs = simulate_bursts(
+        [(pumped_effective_model(replace(p, kappa_vuv=kappa), sigma=pump_sigma,
+                                 fraction=fraction), space) for kappa in kappas],
+        n_samples=n_samples)
+    points, diagnostics = zip(*(((kappa, pulse_width_fwhm(*post_pump_segment(ts))),
+                                 {"kappa_vuv": kappa, **burst_diagnostics(ts)})
+                                for kappa, ts in zip(kappas, runs)))
 
     fit = fit_line([k for k, _ in points], [tau for _, tau in points])
     return LifetimeScan(points=points, slope=fit.slope, intercept=fit.intercept,

@@ -744,9 +744,10 @@ def test_every_switch_is_set_by_a_bundled_or_benchmark_config(monkeypatch):
 
 
 def test_the_c_loader_reads_every_config_as_the_python_loader_does(monkeypatch, tmp_path):
-    """_load_config parses with libyaml's CSafeLoader where PyYAML has it; every
-    bundled config, every benchmark config and every snippet in this file
-    loads to the same dict, with the same types, as under SafeLoader."""
+    """_load_config parses with a subclass of libyaml's CSafeLoader where
+    PyYAML has it; every bundled config, every benchmark config and every
+    snippet in this file loads to the same dict, with the same types, as under
+    SafeLoader."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -760,6 +761,36 @@ def test_the_c_loader_reads_every_config_as_the_python_loader_does(monkeypatch, 
     for text in texts:
         path.write_text(text)
         assert repr(_load_config(path)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("sigma", ["1e-4", "1E-04", "0.0001e0", "100e-6"])
+def test_a_float_without_a_dot_or_an_exponent_sign_is_a_number(tmp_path, sigma):
+    """Floats resolve as in YAML 1.2: sigma 1e-4 runs as 1.0e-4 does, to the
+    same bytes, where YAML 1.1 would read a string.  The shared loaders keep
+    YAML 1.1."""
+    outs = []
+    for text in ("1.0e-4", sigma):
+        outs.append(tmp_path / text)
+        cfg = write(tmp_path, SUPERRADIANCE_YAML.replace("sigma: 1.0e-4", f"sigma: {text}"))
+        assert main(["superradiance", "--config", cfg, "--out", str(outs[-1])]) == 0
+    a, b = outs
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir()) and len(names) == 5
+    for name in names:
+        if name != "manifest.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    ma, mb = (json.loads((d / "manifest.json").read_text()) for d in (a, b))
+    ma.pop("duration_seconds"), mb.pop("duration_seconds")
+    assert ma == mb and ma["config"]["pump"]["sigma"] == 1e-4
+    for loader in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
+        assert yaml.load(f"a: {sigma}", Loader=loader) == {"a": sigma}
+
+
+@pytest.mark.parametrize("value", [".nan", ".NaN", ".inf", "-.inf", "+.INF"])
+def test_a_yaml_non_finite_float_is_a_config_error(tmp_path, capsys, value):
+    cfg = write(tmp_path, SUPERRADIANCE_YAML.replace("sigma: 1.0e-4", f"sigma: {value}"))
+    assert main(["superradiance", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: pump.sigma: ")
 
 
 def test_bool_is_not_a_number(tmp_path, capsys):

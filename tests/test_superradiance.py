@@ -33,6 +33,7 @@ from thcavity.superradiance import (
     pulse_width_fwhm,
     pump_off_time,
     pumped_effective_model,
+    simulate_bursts,
     simulate_superradiance,
 )
 
@@ -287,21 +288,96 @@ def test_near_full_pump_keeps_the_whole_ladder():
 
 
 def test_rotated_guard_trip_reruns_the_pump_on_twice_the_levels(monkeypatch, spy_solves):
-    n = 40
-    model = pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1)
+    """The guard reruns the whole stack: N = 1 holds all its levels from m = 1
+    and is padded above, while N = 40 keeps doubling m."""
+    ns = (1, 40)
+    runs = [(pumped_effective_model(bad_cavity_params(n), sigma=1e-4, fraction=0.1),
+             DickeSpace(n)) for n in ns]
     monkeypatch.setattr(superradiance, "_ROTATED_LEVELS", 1)
     calls = spy_solves(superradiance)
-    ts = simulate_superradiance(model, DickeSpace(n), n_samples=300,
-                                rtol=1e-10, atol=1e-12)
-    # levels 1 and 2 end above 1e-14, level 4 below
-    assert [y0.size for _, _, y0, _, _ in calls] == [2**2, 3**2, 5**2]
-    assert ts.meta["rotated_cut"] == 4
-    assert [s["steps"] > 0 and s["nfev"] > s["steps"] for s in ts.meta["solver"]] == [True] * 3
-    diag = burst_diagnostics(ts)
-    assert diag["rotated_cut"] == 4
-    assert diag["pump_steps"] == sum(s["steps"] for s in ts.meta["solver"])
-    assert diag["pump_nfev"] == sum(s["nfev"] for s in ts.meta["solver"])
-    assert_matches_oracle(ts.values, full_ladder_burst(model, DickeSpace(n), 300)[0])
+    stack = list(simulate_bursts(runs, n_samples=300, rtol=1e-10, atol=1e-12))
+    # N = 40's levels 1 and 2 end above 1e-14, level 4 below
+    assert [y0.size for _, _, y0, _, _ in calls] == [2 * 2**2, 2 * 3**2, 2 * 5**2]
+    assert [ts.meta["rotated_cut"] for ts in stack] == [1, 4]
+    for ts, (model, space) in zip(stack, runs):
+        assert ts.meta["solver"] == stack[0].meta["solver"]
+        assert [s["steps"] > 0 and s["nfev"] > s["steps"] for s in ts.meta["solver"]] == [True] * 3
+        diag = burst_diagnostics(ts)
+        assert diag["rotated_cut"] == ts.meta["rotated_cut"]
+        assert diag["pump_steps"] == sum(s["steps"] for s in ts.meta["solver"])
+        assert diag["pump_nfev"] == sum(s["nfev"] for s in ts.meta["solver"])
+        assert_matches_oracle(ts.values, full_ladder_burst(model, space, 300)[0])
+
+
+def _burst_scan(ns, kappas, **kw):
+    """(model, space) of each (N, kappa) of a burst or lifetime scan at figS1's
+    pump, and the scan as one simulate_bursts call."""
+    runs = [(pumped_effective_model(bad_cavity_params(n, kappa_vuv=kappa), sigma=1e-4,
+                                    fraction=0.1), DickeSpace(n)) for n in ns for kappa in kappas]
+    return runs, list(simulate_bursts(runs, **kw))
+
+
+@pytest.mark.parametrize("ns, kappas", [
+    pytest.param((4, 8, 16, 60), (2.0e5,), id="burst"),
+    pytest.param((60,), (1.0e5, 2.0e5, 4.0e5), id="lifetime")])
+def test_each_run_of_a_stack_is_the_run_alone(ns, kappas):
+    """N = 4 and 8 are padded to the 9 levels of the stack; the lifetime runs
+    each turn by their own angle.  At the default tolerances the shared solve
+    takes each run's own accepted steps.  At 4000 samples the runs' grids
+    differ inside the pump, where the largest N or the smallest kappa_vuv
+    has 5 or 9 samples."""
+    runs, stack = _burst_scan(ns, kappas, n_samples=4000)
+    heads = [tuple(ts.times[ts.times <= ts.meta["t_off"]]) for ts in stack]
+    assert len(set(heads)) > 1 and max(map(len, heads)) >= 5
+    for (model, space), ts in zip(runs, stack):
+        alone = simulate_superradiance(model, space, n_samples=4000)
+        np.testing.assert_array_equal(ts.times, alone.times)
+        peak = alone.column("intensity").max()
+        assert np.abs(ts.column("intensity") - alone.column("intensity")).max() <= 1e-12 * peak
+        assert np.abs(ts.column("g1") - alone.column("g1")).max() <= 1e-10
+        assert ts.meta["solver"] == stack[0].meta["solver"]
+        assert ([s["steps"] for s in ts.meta["solver"]]
+                == [s["steps"] for s in alone.meta["solver"]])
+        for key in ("ladder_cut", "rotated_cut", "top_population", "pump_min_eigenvalue"):
+            assert ts.meta[key] == pytest.approx(alone.meta[key], rel=1e-9, abs=1e-15), key
+
+
+def test_a_stack_is_one_pump_solve(spy_solves):
+    calls = spy_solves(superradiance)
+    runs, stack = _burst_scan((4, 30, 120), (2.0e5,))
+    ((rhs, span, y0, sample_times, kw),) = calls
+    assert rhs.__qualname__.endswith("rhs_pumped")
+    assert y0.size == 3 * 9**2 and span == (0.0, stack[0].meta["t_off"])
+    # the union of the runs' samples up to the pump's end
+    heads = [ts.times[ts.times <= span[1]] for ts in stack]
+    np.testing.assert_array_equal(sample_times, np.unique(np.concatenate(heads)))
+
+
+def test_stacked_rhs_is_each_runs_own_with_empty_padding():
+    runs, _ = _burst_scan((3, 12), (2.0e5,), n_samples=2)
+    m, t = 8, 4.6e-4
+    angle = _pump_angle([model for model, _ in runs], 0.0)
+    r = np.zeros((2, m + 1, m + 1))
+    rng = np.random.default_rng(5)
+    r[0, :4, :4] = _random_symmetric(rng, 4)
+    r[1] = _random_symmetric(rng, m + 1)
+    dr = _rotated_rhs(runs, m, angle)(t, r.ravel()).reshape(r.shape)
+    assert not dr[0, 4:].any() and not dr[0, :, 4:].any()
+    for b, ((model, space), k) in enumerate(zip(runs, (3, m))):
+        own = _rotated_rhs([(model, space)], k, _pump_angle([model], 0.0))
+        np.testing.assert_allclose(dr[b, :k + 1, :k + 1],
+                                   own(t, r[b, :k + 1, :k + 1].ravel()).reshape(k + 1, k + 1),
+                                   rtol=0, atol=1e-15 * np.abs(dr[b]).max())
+
+
+def test_runs_with_different_pump_windows_are_an_error():
+    narrow, wide = (pumped_effective_model(bad_cavity_params(8), sigma=sigma, fraction=0.1)
+                    for sigma in (1e-4, 2e-4))
+    dark = EffectiveModel(drive_coupling=1.0, gamma_eff=0.5)
+    for runs in ([(narrow, DickeSpace(8)), (wide, DickeSpace(8))],
+                 [(narrow, DickeSpace(8)), (dark, DickeSpace(8))], []):
+        with pytest.raises(ValueError, match="window"):
+            simulate_bursts(runs)
 
 
 def test_default_tolerances_keep_the_far_tail_within_1e_9_of_the_reference():
@@ -402,20 +478,24 @@ def test_rotation_columns_are_orthonormal_on_a_long_ladder(m):
 
 
 def test_pump_angle_is_the_integral_of_the_drive():
-    model = pumped_effective_model(bad_cavity_params(40), sigma=1e-4, fraction=0.1)
-    pump = model.pump
-
-    def drive(t):
-        return model.drive_coupling * abs(pump.envelope(t))
+    """One angle per model, here two cavity linewidths of a lifetime scan
+    (each pump calibrated to its own drive) and a model pumped to f = 0.3."""
+    models = [pumped_effective_model(bad_cavity_params(40, kappa_vuv=kappa), sigma=1e-4,
+                                     fraction=fraction)
+              for kappa, fraction in ((2.0e5, 0.1), (5.0e5, 0.1), (2.0e5, 0.3))]
+    pump = models[0].pump
 
     for t0 in (0.0, 3e-4, 6e-4):
-        angle = _pump_angle(model, t0)
-        assert angle(t0) == 0.0
+        angle = _pump_angle(models, t0)
+        assert angle(t0).tolist() == [0.0] * 3
         for t in (1e-4, 4.5e-4, 5e-4, 7e-4, pump_off_time(pump)):
-            ref = quad(drive, t0, t, epsabs=0.0, epsrel=1e-13, points=[pump.center])[0]
-            assert angle(t) == pytest.approx(ref, rel=1e-12)
+            for model, phi in zip(models, angle(t)):
+                ref = quad(lambda s: model.drive_coupling * abs(model.pump.envelope(s)),
+                           t0, t, epsabs=0.0, epsrel=1e-13, points=[pump.center])[0]
+                assert phi == pytest.approx(ref, rel=1e-12)
     # the whole pulse turns |0> into the coherent state of excitation sin^2(phi) = f
-    assert math.sin(_pump_angle(model, -1.0)(1.0)) ** 2 == pytest.approx(0.1, rel=1e-12)
+    np.testing.assert_allclose(np.sin(_pump_angle(models, -1.0)(1.0)) ** 2, [0.1, 0.1, 0.3],
+                               rtol=1e-12)
 
 
 def _ladder(n, data):
@@ -440,7 +520,7 @@ def test_rotated_rhs_is_traceless_and_symmetric(n, data, t, seed):
     m = data.draw(st.integers(1, n))
     model = _pumped_model(n, data)
     r = _random_symmetric(np.random.default_rng(seed), m + 1)
-    dr = _rotated_rhs(model, DickeSpace(n), m, _pump_angle(model, 0.0))(t, r.ravel())
+    dr = _rotated_rhs([(model, DickeSpace(n))], m, _pump_angle([model], 0.0))(t, r.ravel())
     dr = dr.reshape(m + 1, m + 1)
     assert dr.dtype == np.float64
     assert abs(np.trace(dr)) <= 1e-12 * np.abs(dr).max()
@@ -457,12 +537,12 @@ def test_rotated_rhs_is_the_lab_decay_in_the_drive_frame(n, data, t, seed):
     space = DickeSpace(n)
     m = data.draw(st.integers(min(n, 2), n))
     model = _pumped_model(n, data)
-    angle = _pump_angle(model, 0.0)
+    angle = _pump_angle([model], 0.0)
     r = _random_symmetric(np.random.default_rng(seed), m + 1)
     if m < n:
         r[m - 1:] = r[:, m - 1:] = 0.0
-    dr = _rotated_rhs(model, space, m, angle)(t, r.ravel()).reshape(m + 1, m + 1)
-    o = _expm.expm(angle(t) * drive_generator(space))[:, :m + 1]
+    dr = _rotated_rhs([(model, space)], m, angle)(t, r.ravel()).reshape(m + 1, m + 1)
+    o = _expm.expm(angle(t)[0] * drive_generator(space))[:, :m + 1]
     phi = phase_pattern(space.dim)
     decay = complex_pumped_rhs(replace(model, pump=DriveProfile()), space.lowering_amplitudes())
     lab = decay(t, (phi * (o @ r @ o.T)).ravel()).reshape(space.dim, space.dim)
