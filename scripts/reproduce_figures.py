@@ -48,7 +48,7 @@ def main(argv=None) -> int:
             print(f"{cfg.stem}: config error: {err}", file=sys.stderr)
             failures += 1
             continue
-        except (ValueError, ArithmeticError, RuntimeError) as err:
+        except (ValueError, ArithmeticError, RuntimeError, MemoryError) as err:
             print(f"{cfg.stem}: {err}", file=sys.stderr)
             failures += 1
             continue

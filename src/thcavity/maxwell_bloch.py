@@ -7,19 +7,25 @@ polarization, Z the per-nucleus inversion (Z = -1 in the ground state):
     P'     = -(gamma_minus/2) P + i g alpha Z
     Z'     = -gamma_minus (Z + 1) + 2 i g (alpha* P - alpha P*)
 
-The Z equation's bracket is purely imaginary, so Z stays real; the state is
-integrated as five real components and Z never acquires an imaginary part.
-The drive E(t) is a Gaussian kick (params.DriveProfile); solve_sampled caps
-the step through its window and runs the free evolution after it uncapped.
+The Z equation's bracket is purely imaginary, so Z stays real.  With a real
+drive E(t), Im alpha' = -(kappa_vuv/2) Im alpha - N g Re P and
+Re P' = -(gamma_minus/2) Re P - g Z Im alpha vanish where Im alpha = Re P = 0,
+so a run that starts there (the ground state does) never leaves: Im alpha
+and Re P stay exactly 0.  The state is integrated as the three components
+that move, (Re alpha, Im P, Z), and Im alpha and Re P are written as exact
+zeros; a complex drive amplitude or a start with Im alpha or Re P != 0 is a
+ValueError.  The drive is a Gaussian kick (params.DriveProfile);
+solve_sampled caps the step through its window and runs the free evolution
+after it uncapped.
 
 A Rabi scan is self-similar: in tau = t / t_end(N) every point has its kick
 at nearly the same tau and the same number of periods in [0, 1].  So
 rabi_scaling_fit runs all its points as one DOP853 solve of their stacked
-states (5 components per point), each point's time rescaled to the first
+states (3 components per point), each point's time rescaled to the first
 point's, and integrate_mbe is the one-point case of that solve: one
 right-hand side serves both.  At this size a step costs numpy call overhead,
 not arithmetic, so a scan of B points pays that overhead once instead of B
-times.
+times, and the B kicks are one numpy expression.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ __all__ = [
 ]
 
 MBE_COLUMNS = ("re_alpha", "im_alpha", "re_p", "im_p", "z")
+_LIVE = [0, 3, 4]   # the MBE_COLUMNS a real kick moves: re_alpha, im_p, z
 _RTOL, _ATOL = 1e-8, 1e-10   # integrate_mbe's and every Rabi scan's tolerances
 _N_PERIODS = 8.0   # linear-regime periods each Rabi scan point runs after its kick
 
@@ -68,20 +75,33 @@ class MeanFieldState:
         return cls(alpha=0.0, polarization=0.0, inversion=-1.0)
 
 
+def _check_real_subspace(drive: DriveProfile, init: MeanFieldState) -> None:
+    if complex(drive.amplitude).imag != 0:
+        raise ValueError(f"drive amplitude must be real, got {drive.amplitude}: the "
+                         "mean-field solve steps Re alpha, Im P and Z only")
+    if complex(init.alpha).imag != 0 or complex(init.polarization).real != 0:
+        raise ValueError(f"initial state must have Im alpha = Re P = 0, got alpha="
+                         f"{init.alpha}, polarization={init.polarization}: the "
+                         "mean-field solve steps Re alpha, Im P and Z only")
+
+
 def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
                       freeze_inversion=False):
     """One DOP853 solve of several mean-field runs in a shared time variable.
 
     runs holds (params, drive, init, scale) per run; the solve's time s runs
     over t_span, and run b sits at its own time scale_b * s, so its equations
-    are those of integrate_mbe times scale_b.  The state stacks the five
-    components of every run, component by component.  The drives' windows
-    (DriveProfile.window), mapped to the shared time, merge into one: the
-    step is capped by the narrowest mapped cap up to the latest mapped end.
-    Returns the samples at np.linspace(*t_span, n_samples), an array
-    (runs, n_samples, 5), and the solve_sampled stats of each segment.
+    are those of integrate_mbe times scale_b.  The state stacks the three
+    moving components (Re alpha, Im P, Z) of every run, component by
+    component.  The drives' windows (DriveProfile.window), mapped to the
+    shared time, merge into one: the step is capped by the narrowest mapped
+    cap up to the latest mapped end.  Returns the samples at
+    np.linspace(*t_span, n_samples), an array (runs, n_samples, 5) in
+    MBE_COLUMNS order, and the solve_sampled stats of each segment.
     """
     ps, drives, inits, scales = zip(*runs)
+    for drive, init in zip(drives, inits):
+        _check_real_subspace(drive, init)
     kappa, gamma, g, n = (np.array([getattr(p, k) for p in ps], dtype=float)
                           for k in ("kappa_vuv", "gamma_minus", "g", "n_nuclei"))
     # each run's coefficients in the shared time
@@ -92,34 +112,33 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
     neg_gamma = c * -gamma
     four_g = 4.0 * g
     ng = n * g
-    scaled_drives = list(zip(drives, scales))
+    # run b's kick c_b * envelope(c_b * s) = amp_b * exp(rate_b * (s - center_b)^2)
+    amp = c * np.array([complex(d.amplitude).real for d in drives])
+    center = np.array([d.center for d in drives]) / c
+    rate = -0.5 * (c / np.array([d.width for d in drives])) ** 2
+    frozen = np.zeros(len(runs))
 
     def rhs(t, y):
-        ar, ai, pr, pi, z = y.reshape(5, -1)
-        e = np.array([k * d.envelope(k * t) for d, k in scaled_drives], dtype=complex)
+        ar, pi, z = y.reshape(3, -1)
+        x = t - center
         gz = g * z
-        dar = e.real - half_kappa * ar + ng * pi
-        dai = e.imag - half_kappa * ai - ng * pr
-        dpr = neg_half_gamma * pr - gz * ai
+        dar = amp * np.exp(rate * (x * x)) - half_kappa * ar + ng * pi
         dpi = neg_half_gamma * pi + gz * ar
-        if freeze_inversion:
-            dz = np.zeros_like(z)
-        else:
-            dz = neg_gamma * (z + 1.0) - four_g * (ar * pi - ai * pr)
-        return np.concatenate((dar, dai, dpr, dpi, dz))
+        dz = frozen if freeze_inversion else neg_gamma * (z + 1.0) - four_g * (ar * pi)
+        return np.concatenate((dar, dpi, dz))
 
-    y0 = np.array([[complex(s.alpha).real, complex(s.alpha).imag,
-                    complex(s.polarization).real, complex(s.polarization).imag,
+    y0 = np.array([[complex(s.alpha).real, complex(s.polarization).imag,
                     float(s.inversion)] for s in inits]).T.ravel()
     samples = np.linspace(*t_span, int(n_samples))
 
     # one pulse window for all runs: the latest mapped end, the narrowest mapped cap
-    windows = [(w[0] / k, w[1] / k) for d, k in scaled_drives if (w := d.window)]
+    windows = [(w[0] / k, w[1] / k) for d, k in zip(drives, scales) if (w := d.window)]
     pulse = (max(e for e, _ in windows), min(c for _, c in windows)) if windows else None
     values, _, solver = solve_sampled(rhs, t_span, y0, samples, rtol=rtol, atol=atol,
                                       pulse=pulse)
-    stacked = values.reshape(len(samples), 5, len(runs)).transpose(2, 0, 1)
-    return np.ascontiguousarray(stacked), solver
+    stacked = np.zeros((len(runs), len(samples), len(MBE_COLUMNS)))
+    stacked[..., _LIVE] = values.reshape(len(samples), 3, len(runs)).transpose(2, 0, 1)
+    return stacked, solver
 
 
 def integrate_mbe(
@@ -139,7 +158,9 @@ def integrate_mbe(
     drive caps the step through its pulse window (DriveProfile.window) so a
     narrow kick cannot be stepped over, and the rest runs uncapped.
     meta["solver"] lists the solve_sampled stats of each segment.  This is
-    the one-run case of the solve rabi_scaling_fit stacks.
+    the one-run case of the solve rabi_scaling_fit stacks, on the subspace
+    Im alpha = Re P = 0: a complex drive amplitude, or an init off it, raises
+    ValueError.
     """
     if init is None:
         init = MeanFieldState.ground()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -35,6 +34,8 @@ __all__ = [
     "sweep_diagnostics",
     "polariton_populations",
     "jump_time",
+    "MAX_SCAN_SAMPLES",
+    "SampleBudgetError",
     "SweepScanResult",
     "jump_time_scan",
 ]
@@ -287,6 +288,17 @@ def jump_time(times: np.ndarray, p_up: np.ndarray) -> float:
     return float(t90 - t10)
 
 
+# samples of one jump_time_scan run: 250x the 4001 of every bundled and
+# benchmark scan.  A run of 1e6 samples takes about 1.7 s and 214 MiB of heap
+# (2 cores, numpy 2.4); the count grows as 1/k, and k = 1e-3 in fig4d asks for
+# 4.3e9 samples, 32 GiB in the first array alone
+MAX_SCAN_SAMPLES = 1_000_000
+
+
+class SampleBudgetError(ValueError):
+    """A jump_time_scan run would take more than MAX_SCAN_SAMPLES samples."""
+
+
 @dataclass(frozen=True)
 class SweepScanResult:
     """Jump time against sweep rate, with the log-log fit."""
@@ -297,15 +309,11 @@ class SweepScanResult:
     diagnostics: tuple  # per point: k, substeps, doubling_error, max_norm_drift
 
 
-def _jump_scan_point(k, omega, delta0, min_samples):
-    proto = SweepProtocol(delta0=delta0, rate_k=k, omega=omega)
-    t0, t1 = proto.window
-    # 8 samples per period of the fast phase delta0
-    n = max(min_samples, int(8.0 * abs(delta0) * (t1 - t0) / (2.0 * math.pi)))
-    ts = integrate_sweep(proto, n_samples=n)
+def _jump_scan_point(proto, n_samples):
+    ts = integrate_sweep(proto, n_samples=n_samples)
     p_up, _ = polariton_populations(ts)
-    return (k, proto.lz_parameter, jump_time(ts.times, p_up)), {
-        "k": k, **sweep_diagnostics(ts)}
+    return (proto.rate_k, proto.lz_parameter, jump_time(ts.times, p_up)), {
+        "k": proto.rate_k, **sweep_diagnostics(ts)}
 
 
 def jump_time_scan(
@@ -320,14 +328,24 @@ def jump_time_scan(
 
     Each run takes 8 samples per period of the fast phase delta0 over its
     window, and at least min_samples, so plateau averages stay meaningful at
-    slow sweeps.  map_fn may be an executor's map.
+    slow sweeps.  The count grows as 1/k; a run past MAX_SCAN_SAMPLES raises
+    SampleBudgetError before any run starts.  map_fn may be an executor's map.
     """
     ks = sorted(float(k) for k in k_values)
     if len(set(ks)) < 3:
         raise ValueError(f"need >= 3 distinct sweep rates, got {ks}")
 
-    work = partial(_jump_scan_point, omega=omega, delta0=delta0, min_samples=min_samples)
-    points, diagnostics = zip(*map_fn(work, ks))
+    protos = [SweepProtocol(delta0=delta0, rate_k=k, omega=omega) for k in ks]
+    wanted = [max(min_samples, 8.0 * abs(delta0) * (t1 - t0) / (2.0 * math.pi))
+              for t0, t1 in (proto.window for proto in protos)]
+    worst = max(range(len(ks)), key=wanted.__getitem__)
+    if wanted[worst] > MAX_SCAN_SAMPLES:
+        raise SampleBudgetError(
+            f"the run at k = {ks[worst]:.6g} takes {wanted[worst]:.4g} samples, over "
+            f"the budget of {MAX_SCAN_SAMPLES:.0e} per run (8 per period of delta0 "
+            "over its window, and at least min_samples)")
+    counts = [int(n) for n in wanted]
+    points, diagnostics = zip(*map_fn(_jump_scan_point, protos, counts))
 
     fit = fit_loglog([k for k, _, _ in points], [tau for _, _, tau in points])
     return SweepScanResult(points=points, slope=fit.slope, r_squared=fit.r_squared,

@@ -16,7 +16,9 @@ import pytest
 import yaml
 
 import thcavity
+from thcavity import sweep
 from thcavity.cli import (
+    _RUNNERS,
     _SCHEMAS,
     ConfigError,
     _apply,
@@ -286,6 +288,56 @@ def test_sweep_scan_artifacts(tmp_path):
     fit = json.loads((out / "sweep_fit.json").read_text())
     assert fit["slope"] == pytest.approx(-1.0, abs=0.05)
     assert len(fit["points"]) == 3
+
+
+@pytest.mark.parametrize("rates, n_samples, field, count", [
+    ([1.0e-3, 2.0e-3, 3.0e-3], None, "scan.rate_k", "4.284e+09"),
+    ([1.0, 2.0, 3.0], None, "scan.rate_k", "4.284e+06"),
+    (None, 2_000_000, "sampling.n_samples", "2e+06"),
+], ids=["rate-1e-3", "rate-1", "n-samples"])
+def test_a_scan_over_the_sample_budget_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                         rates, n_samples, field, count):
+    """The budget is checked before any run: no sweep is integrated."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+    monkeypatch.setattr(sweep, "integrate_sweep", no_run)
+    cfg = yaml.safe_load((CONFIGS / "fig4d_jump_scan.yaml").read_text())
+    if rates is not None:
+        cfg["scan"]["rate_k"] = rates
+    if n_samples is not None:
+        cfg["sampling"] = {"n_samples": n_samples}
+    path = write(tmp_path, yaml.safe_dump(cfg))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert f"takes {count} samples, over the budget of 1e+06" in err
+
+
+def test_bundled_and_benchmark_scans_take_the_floor_of_samples(monkeypatch):
+    """fig4d and the benchmark's jump scans (seeds 1-10) take 4001 samples
+    per rate, the sampling floor: the budget is 250 times that."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    scans = [yaml.safe_load((CONFIGS / "fig4d_jump_scan.yaml").read_text())]
+    scans += [item.config for seed in range(1, 11)
+              for item in workloads.plan("sweep_master", seed) if item.name == "jump_scan"]
+    assert len(scans) == 11
+    for cfg in scans:
+        proto, rates = cfg["protocol"], cfg["scan"]["rate_k"]
+        # the slowest sweep takes the most: 8 samples per period of delta0 over 10/k
+        wanted = 8.0 * abs(proto["delta0"]) * 10.0 / min(rates) / (2.0 * math.pi)
+        assert wanted < cfg.get("sampling", {}).get("n_samples", 4001) == 4001
+
+
+def test_a_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 31.9 GiB for an array")
+    monkeypatch.setitem(_RUNNERS, "spectrum", exhausted)
+    cfg = write(tmp_path, SPECTRUM_YAML)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error [spectrum]: Unable to allocate 31.9 GiB "
+                                       "for an array\n")
 
 
 def test_sweep_rejects_rate_in_both_places(tmp_path, capsys):

@@ -30,6 +30,31 @@ def params(**kw):
     return ModelParams(**base)
 
 
+def mbe_reference(p, drive, t_span, init=None, *, n_samples, rtol=1e-8, atol=1e-10):
+    """Oracle: the mean-field equations on all five real components (Re and
+    Im of alpha and P, and Z), one run, the drive through its own envelope,
+    on solve_sampled with the drive's pulse window."""
+    s = MeanFieldState.ground() if init is None else init
+    kappa, gamma, g, n = p.kappa_vuv, p.gamma_minus, p.g, p.n_nuclei
+
+    def rhs(t, y):
+        ar, ai, pr, pi, z = y
+        e = complex(drive.envelope(t))
+        return np.array([e.real - 0.5 * kappa * ar + n * g * pi,
+                         e.imag - 0.5 * kappa * ai - n * g * pr,
+                         -0.5 * gamma * pr - g * z * ai,
+                         -0.5 * gamma * pi + g * z * ar,
+                         -gamma * (z + 1.0) - 4.0 * g * (ar * pi - ai * pr)])
+
+    alpha, pol = complex(s.alpha), complex(s.polarization)
+    y0 = np.array([alpha.real, alpha.imag, pol.real, pol.imag, float(s.inversion)])
+    times = np.linspace(*t_span, n_samples)
+    values, _, solver = solve_sampled(rhs, t_span, y0, times, rtol=rtol, atol=atol,
+                                      pulse=drive.window)
+    return TimeSeries(times=times, values=values, columns=MBE_COLUMNS,
+                      meta={"solver": solver})
+
+
 def synthetic_trace(t, alpha, p=None, z=None):
     n = len(t)
     cols = np.zeros((n, 5))
@@ -166,8 +191,32 @@ def test_kick_and_free_run_are_each_solved_once(spy_solves):
     ys, _, _ = solve_sampled(rhs, (span[0], seam), y0, np.append(head, seam), **kw)
     ys_tail, _, _ = solve_sampled(rhs, (seam, span[1]), ys[-1], tail,
                                   rtol=kw["rtol"], atol=kw["atol"])
-    assert np.array_equal(ts.values, np.concatenate([ys[:-1], ys_tail]))
+    assert np.array_equal(ts.values[:, [0, 3, 4]], np.concatenate([ys[:-1], ys_tail]))
+    assert (ts.values[:, [1, 2]] == 0.0).all()
     assert [sorted(s) for s in ts.meta["solver"]] == [["nfev", "steps", "wall_s"]] * 2
+
+
+@pytest.mark.parametrize("n", [1, 25, 400])
+def test_a_real_kick_from_the_ground_never_moves_im_alpha_or_re_p(n):
+    """The invariance the three-component solve rests on, on the oracle."""
+    p = params(n_nuclei=n)
+    kick = rabi_kick(p)
+    ref = mbe_reference(p, kick, (0.0, kick.center + 40.0 / math.sqrt(n)),
+                        n_samples=500)
+    assert np.abs(ref.column("re_alpha")).max() > 1e-3
+    assert np.abs(ref.column("im_p")).max() > 1e-5
+    assert (ref.column("im_alpha") == 0.0).all()
+    assert (ref.column("re_p") == 0.0).all()
+
+
+@pytest.mark.parametrize("drive, init", [
+    (DriveProfile(amplitude=0.3 - 0.2j, center=1.0, width=0.2), None),
+    (DriveProfile(), MeanFieldState(0.5 + 0.25j, 0.0, -1.0)),
+    (DriveProfile(), MeanFieldState(0.5, 0.1 + 0.1j, -0.8)),
+], ids=["complex-drive", "im-alpha", "re-p"])
+def test_an_input_off_the_real_subspace_is_an_error(drive, init):
+    with pytest.raises(ValueError, match="Re alpha, Im P and Z only"):
+        integrate_mbe(params(), drive, (0.0, 1.0), init, n_samples=10)
 
 
 def test_kick_needs_a_rate_scale():
@@ -202,8 +251,9 @@ def test_scaling_fit_rejects_fully_overdamped_scans():
 
 
 def test_stacked_scan_matches_independent_tight_runs():
-    """Oracle for the stacked scan: each point against its own integrate_mbe
-    run at rtol 1e-12, atol 1e-16, on the same time column.  The shared solve
+    """Oracle for the stacked scan: each point against its own run of the
+    five-component equations (mbe_reference) at rtol 1e-12, atol 1e-16, on
+    the same time column.  The shared solve
     takes at most 1.2x the steps of the largest point run on its own at the
     default tolerances."""
     p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
@@ -215,7 +265,7 @@ def test_stacked_scan_matches_independent_tight_runs():
         pn = replace(p, n_nuclei=n)
         kick = rabi_kick(pn)
         t_end = kick.center + 8.0 * (2.0 * math.pi / linear_rabi_frequency(n, p))
-        ref = integrate_mbe(pn, kick, (0.0, t_end), n_samples=1200, rtol=1e-12, atol=1e-16)
+        ref = mbe_reference(pn, kick, (0.0, t_end), n_samples=1200, rtol=1e-12, atol=1e-16)
         assert np.array_equal(tr.times, np.linspace(0.0, t_end, 1200))
         assert np.array_equal(tr.times, ref.times)
         scale = np.abs(ref.values).max(axis=0)
@@ -234,7 +284,7 @@ def test_stacked_scan_is_one_solve_per_segment(spy_solves):
     p = ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=1e-3, n_nuclei=1)
     fit = rabi_scaling_fit([16, 25, 36, 49], p, n_samples=600)
     (_, span, y0, _, kw), = calls            # the kicks, then the free run
-    assert y0.shape == (20,)
+    assert y0.shape == (12,)                 # (Re alpha, Im P, Z) of each point
     kicks = [tr.meta["drive"] for tr in fit.traces]
     t_ends = [tr.times[-1] for tr in fit.traces]
     mapped = [(k.center + 6.0 * k.width) * t_ends[0] / t for k, t in zip(kicks, t_ends)]
@@ -247,16 +297,12 @@ def test_stacked_scan_is_one_solve_per_segment(spy_solves):
 
 
 # (steps, nfev) per segment and sha256 of the sampled values of integrate_mbe
-# runs, recorded from the per-run solve that the stacked one replaced
+# runs, recorded from the three-component solve
 ONE_RUN_RECORDS = [
-    ("kick", [(24, 347), (53, 893)],
-     "1ffeb964d78912af2fdc54cf1da81680707a618fd1a95a01f85e4a3beaee4b9c"),
-    ("free", [(24, 398)],
-     "19753b6c2e92626695a71f6e662b06b98ae1cc275131388ecadb94bed8a8c597"),
-    ("frozen", [(34, 512)],
-     "84b764c5f899de1dcb28f235125eb89ae0c09dd540574c68d304dabf0cac9aec"),
-    ("complex_drive", [(23, 359), (8, 122)],
-     "04946393aaa764e7c2d0ddf5ac5956e613e99f180744cc4b370067ed36317d83"),
+    ("kick", [(25, 359), (55, 923)],
+     "cd9639f617283c366b949c6d00eb904102a683f1dc3b800c739a22a9fc5bcb8e"),
+    ("frozen", [(35, 527)],
+     "774d989a6665f4b12a54185e04adb6e10d9e22d5acd98cd106ee97b7e2f777da"),
 ]
 
 
@@ -267,17 +313,9 @@ def _one_run(case):
         omega = math.sqrt(25 - ((0.5 - 1e-3) / 4.0) ** 2)
         return integrate_mbe(p, kick, (0.0, kick.center + 6.0 * 2.0 * math.pi / omega),
                              n_samples=1200)
-    if case == "free":
-        return integrate_mbe(params(kappa_vuv=0.3, gamma_minus=0.1, n_nuclei=9),
-                             t_span=(0.0, 4.0),
-                             init=MeanFieldState(0.5 + 0.25j, 0.1j, -0.8), n_samples=300)
-    if case == "frozen":
-        return integrate_mbe(params(kappa_vuv=0.0, gamma_minus=0.0), t_span=(0.0, 2.0),
-                             init=MeanFieldState(1.0, 0.0, -1.0), n_samples=400,
-                             freeze_inversion=True)
-    drive = DriveProfile(amplitude=0.3 - 0.2j, center=1.0, width=0.2)
-    return integrate_mbe(ModelParams(g=0.7, kappa_vuv=0.2, gamma_minus=0.05, n_nuclei=4),
-                         drive, t_span=(0.0, 5.0), n_samples=250)
+    return integrate_mbe(params(kappa_vuv=0.0, gamma_minus=0.0), t_span=(0.0, 2.0),
+                         init=MeanFieldState(1.0, 0.0, -1.0), n_samples=400,
+                         freeze_inversion=True)
 
 
 @pytest.mark.parametrize("case, segments, digest", ONE_RUN_RECORDS,

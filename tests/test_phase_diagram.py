@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,11 +84,44 @@ def test_regime_never_upgrades_as_kappa_grows():
 
 def test_grid_scan_layout():
     scan = grid_scan(1.0, 0.1, (1.0, 100.0, 5), (1.0, 4.0, 4))
-    assert len(scan.points) == 20
+    columns = (scan.kappa_vuv, scan.sqrt_n, scan.regime, scan.margin_strong,
+               scan.margin_cooperativity)
+    assert [c.shape for c in columns] == [(20,)] * 5
     # row-major: sqrt_n outer, kappa inner
-    assert scan.points[0].kappa_vuv == pytest.approx(1.0)
-    assert scan.points[4].kappa_vuv == pytest.approx(100.0)
-    assert scan.points[5].sqrt_n == pytest.approx(2.0)
+    assert scan.kappa_vuv[0] == pytest.approx(1.0)
+    assert scan.kappa_vuv[4] == pytest.approx(100.0)
+    assert scan.sqrt_n[5] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("g, gamma, kappa_range, sqrt_n_range", [
+    (1.0, 0.1, (1.0, 100.0, 5), (1.0, 4.0, 4)),
+    (G_REF, GAMMA_REF, (1.0e2, 1.0e12, 101), (1.0, 40.0, 40)),
+    # kappa = 7.5 sits on the strong boundary at sqrt_n = 2 (4 g sqrt(N) = 8)
+    (1.0, 0.5, (7.5, 30.0, 3), (0.0, 2.0, 3)),
+])
+def test_grid_scan_is_classify_rates_at_every_point(g, gamma, kappa_range, sqrt_n_range):
+    """Oracle for the array classification: each point, bit for bit, as
+    classify_rates gives it for (sqrt_n^2, kappa)."""
+    scan = grid_scan(g, gamma, kappa_range, sqrt_n_range)
+    kappas = np.geomspace(*kappa_range)
+    points = [classify_rates(g, s * s, k, gamma)
+              for s in np.linspace(*sqrt_n_range).tolist() for k in kappas.tolist()]
+    assert scan.kappa_vuv.tolist() == [pt.kappa_vuv for pt in points]
+    assert scan.sqrt_n.tolist() == [pt.sqrt_n for pt in points]
+    assert scan.regime.tolist() == [pt.regime for pt in points]
+    assert scan.margin_strong.tolist() == [pt.margin_strong for pt in points]
+    assert scan.margin_cooperativity.tolist() == [pt.margin_cooperativity for pt in points]
+
+
+def test_grid_scan_overflow_is_classify_rates_error_at_the_first_point():
+    # rows past sqrt_n = 1e154 overflow N = sqrt_n^2; the first is row 1, kappa 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as grid_err:
+            grid_scan(1.0, 0.1, (1.0, 10.0, 3), (1.0, 2.0e200, 3))
+    with pytest.raises(ValueError) as point_err:
+        classify_rates(1.0, 1.0e200 * 1.0e200, 1.0, 0.1)
+    assert str(grid_err.value) == str(point_err.value)
 
 
 def test_boundary_crossings_match_closed_forms():

@@ -12,6 +12,7 @@ from thcavity.sweep import (
     _DOUBLING_TOL,
     NoJumpError,
     NormDriftError,
+    SampleBudgetError,
     SweepProtocol,
     _chain,
     _interval_propagators,
@@ -341,3 +342,12 @@ def test_jump_scan_slope_is_inverse_in_rate():
 def test_jump_scan_needs_three_rates():
     with pytest.raises(ValueError, match="distinct"):
         jump_time_scan(1.0, 50.0, [1.0, 1.0])
+
+
+def test_jump_scan_checks_its_sample_budget_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+    monkeypatch.setattr(sweep_module, "integrate_sweep", no_run)
+    # 8 samples per period of delta0 = 50 over 10/k: 6.4e6 at k = 1e-4
+    with pytest.raises(SampleBudgetError, match=r"k = 0\.0001 takes 6\.366e\+06 samples"):
+        jump_time_scan(1.0, 50.0, [3e-4, 1e-4, 2e-4])
