@@ -107,25 +107,30 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
     # each run's coefficients in the shared time
     c = np.array(scales, dtype=float)
     g = c * g
-    half_kappa = c * (0.5 * kappa)
-    neg_half_gamma = c * (-0.5 * gamma)
-    neg_gamma = c * -gamma
-    four_g = 4.0 * g
     ng = n * g
+    neg_gamma = c * -gamma
     # run b's kick c_b * envelope(c_b * s) = amp_b * exp(rate_b * (s - center_b)^2)
     amp = c * np.array([complex(d.amplitude).real for d in drives])
     center = np.array([d.center for d in drives]) / c
     rate = -0.5 * (c / np.array([d.width for d in drives])) ** 2
-    frozen = np.zeros(len(runs))
+    # y' = diag * y + const + cross * (Z, Im P) * Re alpha on the (Im P, Z)
+    # rows, plus the kick and N g Im P on the Re alpha rows
+    b = len(runs)
+    diag = np.concatenate((c * (-0.5 * kappa), c * (-0.5 * gamma), neg_gamma))
+    const = np.concatenate((np.zeros(2 * b), neg_gamma))
+    cross = np.concatenate((g, -4.0 * g))
+    if freeze_inversion:
+        diag[2 * b:] = const[2 * b:] = cross[b:] = 0.0
+    rows = np.arange(b)
+    z_then_p = np.concatenate((rows + 2 * b, rows + b))
+    ar_twice = np.concatenate((rows, rows))
 
     def rhs(t, y):
-        ar, pi, z = y.reshape(3, -1)
         x = t - center
-        gz = g * z
-        dar = amp * np.exp(rate * (x * x)) - half_kappa * ar + ng * pi
-        dpi = neg_half_gamma * pi + gz * ar
-        dz = frozen if freeze_inversion else neg_gamma * (z + 1.0) - four_g * (ar * pi)
-        return np.concatenate((dar, dpi, dz))
+        dy = diag * y + const
+        dy[b:] += cross * y[z_then_p] * y[ar_twice]
+        dy[:b] += amp * np.exp(rate * (x * x)) + ng * y[b:2 * b]
+        return dy
 
     y0 = np.array([[complex(s.alpha).real, complex(s.polarization).imag,
                     float(s.inversion)] for s in inits]).T.ravel()

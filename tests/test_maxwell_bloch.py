@@ -300,7 +300,7 @@ def test_stacked_scan_is_one_solve_per_segment(spy_solves):
 # runs, recorded from the three-component solve
 ONE_RUN_RECORDS = [
     ("kick", [(25, 359), (55, 923)],
-     "cd9639f617283c366b949c6d00eb904102a683f1dc3b800c739a22a9fc5bcb8e"),
+     "43ab15e88bb4e6035f62e91869084f2f5b4cd832b5236c045d2f3ffe01432845"),
     ("frozen", [(35, 527)],
      "774d989a6665f4b12a54185e04adb6e10d9e22d5acd98cd106ee97b7e2f777da"),
 ]
