@@ -2,9 +2,8 @@
 """Run every figure config in scripts/configs and collect the artifacts.
 
 Each config lands in <out>/<prefix>/; pass --only name,... to run only the
-configs whose stem contains one of the comma-separated names.  The
-superradiance scan is the slowest: about 1 s of the 1.6-2.1 s that all ten
-configs take with --jobs 1 on 2 cores.
+configs whose stem contains one of the comma-separated names.  Each
+config's line gives its wall time in seconds, to the millisecond.
 """
 
 import argparse
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
             continue
         n_out = len(manifest["outputs"])
         print(f"{cfg.stem}: {n_out} artifacts in {out} "
-              f"({time.perf_counter() - start:.1f}s)")
+              f"({time.perf_counter() - start:.3f}s)")
     return 1 if failures else 0
 
 

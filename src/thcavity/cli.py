@@ -394,10 +394,9 @@ _MBE_TRACE_HEADER = ("t", "re_alpha", "im_alpha", "abs_alpha_sq", "re_P", "im_P"
 
 
 def _mbe_trace_columns(ts):
-    a_re = ts.column("re_alpha")
-    a_im = ts.column("im_alpha")
-    return (ts.times, a_re, a_im, a_re**2 + a_im**2,
-            ts.column("re_p"), ts.column("im_p"), ts.column("z"))
+    # Im alpha and Re P stay exactly 0 (see maxwell_bloch)
+    a_re, zero = ts.column("re_alpha"), np.zeros(len(ts))
+    return (ts.times, a_re, zero, a_re**2, zero, ts.column("im_p"), ts.column("z"))
 
 
 def _run_rabi(cfg, out, prefix, map_fn):

@@ -334,9 +334,10 @@ def integrate_master(
 
     hamiltonian is a (d,d) array, propagated exactly with no tolerance, or a
     triple (h0, h1, pump) for H(t) = h0 + pump.envelope(t) * h1, pump a
-    DriveProfile of real amplitude, run on DOP853 (rtol, atol) with the step
-    capped through the pump's window (DriveProfile.window) and uncapped after
-    it; collapse_ops must already carry their sqrt(rate) scale.  Both runs
+    DriveProfile (real amplitude, so a real multiple of h1), run on DOP853
+    (rtol, atol) with the step capped through the pump's window
+    (DriveProfile.window) and uncapped after it; collapse_ops must already
+    carry their sqrt(rate) scale.  Both runs
     step the real coordinates x_a = Tr(E_a rho) in an orthonormal Hermitian
     basis (E_ii, then (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2) for
     i < j), where the Liouvillian is a real d^2 x d^2 matrix, so no complex
@@ -354,9 +355,6 @@ def integrate_master(
     if callable(hamiltonian) or not isinstance(pump, DriveProfile):
         raise TypeError("hamiltonian must be a (d, d) array or a triple (h0, h1, pump), "
                         "pump a DriveProfile")
-    if np.iscomplexobj(pump.amplitude):
-        # the real coordinates would keep only the real part of the drive
-        raise ValueError(f"pump amplitude must be real, got {pump.amplitude!r}")
     if isinstance(rho0, DensityMatrix):
         rho0 = rho0.matrix
     rho0 = np.asarray(rho0, dtype=complex)

@@ -7,14 +7,16 @@ polarization, Z the per-nucleus inversion (Z = -1 in the ground state):
     P'     = -(gamma_minus/2) P + i g alpha Z
     Z'     = -gamma_minus (Z + 1) + 2 i g (alpha* P - alpha P*)
 
-The Z equation's bracket is purely imaginary, so Z stays real.  With a real
-drive E(t), Im alpha' = -(kappa_vuv/2) Im alpha - N g Re P and
-Re P' = -(gamma_minus/2) Re P - g Z Im alpha vanish where Im alpha = Re P = 0,
-so a run that starts there (the ground state does) never leaves: Im alpha
-and Re P stay exactly 0.  The state is integrated as the three components
-that move, (Re alpha, Im P, Z), and Im alpha and Re P are written as exact
-zeros; a complex drive amplitude or a start with Im alpha or Re P != 0 is a
-ValueError.  The drive is a Gaussian kick (params.DriveProfile);
+The Z equation's bracket is purely imaginary, so Z stays real.  The drive
+E(t) is real (params.DriveProfile), so
+
+    Im alpha' = -(kappa_vuv/2) Im alpha - N g Re P
+    Re P'     = -(gamma_minus/2) Re P - g Z Im alpha
+
+vanish where Im alpha = Re P = 0, and a run that starts there (the ground
+state does) never leaves: Im alpha and Re P stay exactly 0.  So a state
+(MeanFieldState) and a trace (MBE_COLUMNS) hold only the three components
+that move, (Re alpha, Im P, Z).  The drive is a Gaussian kick;
 solve_sampled caps the step through its window and runs the free evolution
 after it uncapped.
 
@@ -43,8 +45,6 @@ __all__ = [
     "MeanFieldState",
     "OverdampedSignalError",
     "integrate_mbe",
-    "alpha_series",
-    "polarization_series",
     "intensity_series",
     "dominant_angular_frequency",
     "extract_rabi_frequency",
@@ -54,8 +54,7 @@ __all__ = [
     "rabi_scaling_fit",
 ]
 
-MBE_COLUMNS = ("re_alpha", "im_alpha", "re_p", "im_p", "z")
-_LIVE = [0, 3, 4]   # the MBE_COLUMNS a real kick moves: re_alpha, im_p, z
+MBE_COLUMNS = ("re_alpha", "im_p", "z")
 _RTOL, _ATOL = 1e-8, 1e-10   # integrate_mbe's and every Rabi scan's tolerances
 _N_PERIODS = 8.0   # linear-regime periods each Rabi scan point runs after its kick
 
@@ -66,23 +65,15 @@ class OverdampedSignalError(RuntimeError):
 
 @dataclass(frozen=True)
 class MeanFieldState:
-    alpha: complex
-    polarization: complex
-    inversion: float
+    """Re alpha, Im P and Z; Im alpha = Re P = 0."""
+
+    re_alpha: float
+    im_p: float
+    z: float
 
     @classmethod
     def ground(cls) -> "MeanFieldState":
-        return cls(alpha=0.0, polarization=0.0, inversion=-1.0)
-
-
-def _check_real_subspace(drive: DriveProfile, init: MeanFieldState) -> None:
-    if complex(drive.amplitude).imag != 0:
-        raise ValueError(f"drive amplitude must be real, got {drive.amplitude}: the "
-                         "mean-field solve steps Re alpha, Im P and Z only")
-    if complex(init.alpha).imag != 0 or complex(init.polarization).real != 0:
-        raise ValueError(f"initial state must have Im alpha = Re P = 0, got alpha="
-                         f"{init.alpha}, polarization={init.polarization}: the "
-                         "mean-field solve steps Re alpha, Im P and Z only")
+        return cls(re_alpha=0.0, im_p=0.0, z=-1.0)
 
 
 def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
@@ -92,16 +83,14 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
     runs holds (params, drive, init, scale) per run; the solve's time s runs
     over t_span, and run b sits at its own time scale_b * s, so its equations
     are those of integrate_mbe times scale_b.  The state stacks the three
-    moving components (Re alpha, Im P, Z) of every run, component by
-    component.  The drives' windows (DriveProfile.window), mapped to the
-    shared time, merge into one: the step is capped by the narrowest mapped
-    cap up to the latest mapped end.  Returns the samples at
-    np.linspace(*t_span, n_samples), an array (runs, n_samples, 5) in
+    components (Re alpha, Im P, Z) of every run, component by component.
+    The drives' windows (DriveProfile.window), mapped to the shared time,
+    merge into one: the step is capped by the narrowest mapped cap up to the
+    latest mapped end.  Returns the solve's samples at
+    np.linspace(*t_span, n_samples) as a view (runs, n_samples, 3) in
     MBE_COLUMNS order, and the solve_sampled stats of each segment.
     """
     ps, drives, inits, scales = zip(*runs)
-    for drive, init in zip(drives, inits):
-        _check_real_subspace(drive, init)
     kappa, gamma, g, n = (np.array([getattr(p, k) for p in ps], dtype=float)
                           for k in ("kappa_vuv", "gamma_minus", "g", "n_nuclei"))
     # each run's coefficients in the shared time
@@ -110,7 +99,7 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
     ng = n * g
     neg_gamma = c * -gamma
     # run b's kick c_b * envelope(c_b * s) = amp_b * exp(rate_b * (s - center_b)^2)
-    amp = c * np.array([complex(d.amplitude).real for d in drives])
+    amp = c * np.array([d.amplitude for d in drives], dtype=float)
     center = np.array([d.center for d in drives]) / c
     rate = -0.5 * (c / np.array([d.width for d in drives])) ** 2
     # y' = diag * y + const + cross * (Z, Im P) * Re alpha on the (Im P, Z)
@@ -132,8 +121,7 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
         dy[:b] += amp * np.exp(rate * (x * x)) + ng * y[b:2 * b]
         return dy
 
-    y0 = np.array([[complex(s.alpha).real, complex(s.polarization).imag,
-                    float(s.inversion)] for s in inits]).T.ravel()
+    y0 = np.array([[s.re_alpha, s.im_p, s.z] for s in inits], dtype=float).T.ravel()
     samples = np.linspace(*t_span, int(n_samples))
 
     # one pulse window for all runs: the latest mapped end, the narrowest mapped cap
@@ -141,9 +129,7 @@ def _integrate_scaled(runs, t_span, n_samples, rtol=_RTOL, atol=_ATOL,
     pulse = (max(e for e, _ in windows), min(c for _, c in windows)) if windows else None
     values, _, solver = solve_sampled(rhs, t_span, y0, samples, rtol=rtol, atol=atol,
                                       pulse=pulse)
-    stacked = np.zeros((len(runs), len(samples), len(MBE_COLUMNS)))
-    stacked[..., _LIVE] = values.reshape(len(samples), 3, len(runs)).transpose(2, 0, 1)
-    return stacked, solver
+    return values.reshape(len(samples), 3, b).transpose(2, 0, 1), solver
 
 
 def integrate_mbe(
@@ -163,9 +149,7 @@ def integrate_mbe(
     drive caps the step through its pulse window (DriveProfile.window) so a
     narrow kick cannot be stepped over, and the rest runs uncapped.
     meta["solver"] lists the solve_sampled stats of each segment.  This is
-    the one-run case of the solve rabi_scaling_fit stacks, on the subspace
-    Im alpha = Re P = 0: a complex drive amplitude, or an init off it, raises
-    ValueError.
+    the one-run case of the solve rabi_scaling_fit stacks.
     """
     if init is None:
         init = MeanFieldState.ground()
@@ -180,17 +164,9 @@ def integrate_mbe(
     )
 
 
-def alpha_series(ts: TimeSeries) -> np.ndarray:
-    return ts.column("re_alpha") + 1j * ts.column("im_alpha")
-
-
-def polarization_series(ts: TimeSeries) -> np.ndarray:
-    return ts.column("re_p") + 1j * ts.column("im_p")
-
-
 def intensity_series(ts: TimeSeries) -> np.ndarray:
-    """|alpha|^2."""
-    return ts.column("re_alpha") ** 2 + ts.column("im_alpha") ** 2
+    """|alpha|^2 = (Re alpha)^2."""
+    return ts.column("re_alpha") ** 2
 
 
 def dominant_angular_frequency(

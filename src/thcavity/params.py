@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,17 +18,21 @@ _RATE_FIELDS = ("g", "fwm_u", "pump_amp", "kappa1", "kappa2", "kappa_vuv", "gamm
 @dataclass(frozen=True)
 class DriveProfile:
     """Gaussian drive envelope amplitude * exp(-(t - center)^2 / (2 width^2)).
-    amplitude may be complex; amplitude 0 is no drive."""
+    amplitude is a finite real number; amplitude 0 is no drive."""
 
-    amplitude: complex = 0.0
+    amplitude: float = 0.0
     center: float = 0.0
     width: float = 1.0
 
     def __post_init__(self):
+        # numbers.Real first: math.isfinite takes a numpy complex with a warning
+        if not (isinstance(self.amplitude, numbers.Real) and math.isfinite(self.amplitude)):
+            raise ValueError("drive amplitude must be a finite real number, "
+                             f"got {self.amplitude!r}")
         if not self.width > 0:
             raise ValueError(f"drive width must be > 0, got {self.width}")
 
-    def envelope(self, t: float) -> complex:
+    def envelope(self, t: float) -> float:
         x = (t - self.center) / self.width
         return self.amplitude * math.exp(-0.5 * x * x)
 

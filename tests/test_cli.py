@@ -231,29 +231,33 @@ def test_spectrum_csv_contents(tmp_path):
     assert float(mid[3]) == 0.5
 
 
-def test_rabi_jobs_do_not_change_the_artifacts(tmp_path):
+def test_rabi_writes_the_fit_traces_and_a_rerun_writes_the_same_bytes(tmp_path):
     cfg = write(tmp_path, RABI_YAML + "emit_traces: true\n")
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert main(["rabi", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == 0
-    assert main(["rabi", "--config", cfg, "--out", str(pooled), "--jobs", "2"]) == 0
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main(["rabi", "--config", cfg, "--out", str(first)]) == 0
+    assert main(["rabi", "--config", cfg, "--out", str(rerun)]) == 0
     ns = (16, 25, 36, 49)
     traces = [f"rabi_trace_n{n}.csv" for n in ns]
     for name in ("rabi.csv", "rabi_fit.json", *traces):
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
-    fit = json.loads((serial / "rabi_fit.json").read_text())
+        assert (first / name).read_bytes() == (rerun / name).read_bytes()
+    fit = json.loads((first / "rabi_fit.json").read_text())
     assert fit["fit"]["slope"] == pytest.approx(1.0, rel=0.02)
     assert fit["fit"]["r2"] > 0.999
 
-    # each written trace is the trace the fit read its frequency from
+    # each written trace is the trace the fit read its frequency from, with
+    # Im alpha and Re P as exact zeros and |alpha|^2 = (Re alpha)^2
     fit = rabi_scaling_fit(ns, ModelParams(g=1.0, kappa_vuv=0.5, gamma_minus=0.001,
                                            n_nuclei=16),
                            n_samples=1200)
     for ts, name in zip(fit.traces, traces):
-        a_re, a_im = ts.column("re_alpha"), ts.column("im_alpha")
-        expected = np.column_stack([ts.times, a_re, a_im, a_re**2 + a_im**2,
-                                    ts.column("re_p"), ts.column("im_p"), ts.column("z")])
-        written = np.loadtxt(serial / name, delimiter=",", skiprows=1)
-        assert np.array_equal(written, expected)
+        header = (first / name).read_text().splitlines()[0]
+        assert header == "t,re_alpha,im_alpha,abs_alpha_sq,re_P,im_P,Z"
+        t, a_re, a_im, a_sq, p_re, p_im, z = np.loadtxt(first / name, delimiter=",",
+                                                         skiprows=1, unpack=True)
+        assert (a_im == 0.0).all() and (p_re == 0.0).all()
+        assert np.array_equal(a_sq, a_re**2)
+        assert np.array_equal(np.column_stack([t, a_re, p_im, z]),
+                              np.column_stack([ts.times, ts.values]))
 
 
 def test_rabi_lists_the_overdamped_n_it_drops(tmp_path, caplog):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ def test_pump_envelope():
     # one width out the envelope is down by exp(-1/2)
     assert p.pump.envelope(1.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
     assert make().pump.window is None           # pump_amp 0 is no pump
+
+
+@pytest.mark.parametrize("amplitude", [0.3 - 0.2j, np.complex128(1 + 0j), math.nan, math.inf],
+                         ids=["complex", "numpy-complex", "nan", "inf"])
+def test_a_drive_amplitude_must_be_a_finite_real_number(amplitude):
+    """The one check of a drive's amplitude, at construction: the mean-field
+    state and the master equation's real coordinates hold a real drive only.
+    A numpy complex must fail the type check, not pass math.isfinite with a
+    ComplexWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="drive amplitude must be a finite real number"):
+            DriveProfile(amplitude=amplitude, center=0.2, width=0.05)
 
 
 def test_timeseries_basics():
