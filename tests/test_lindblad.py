@@ -357,6 +357,18 @@ def test_integrate_master_input_validation():
             integrate_master(h, np.eye(3) / 3.0)
 
 
+def test_a_complex_pump_amplitude_is_rejected(spy_solves):
+    """The real coordinates hold only a real drive: a complex amplitude would
+    lose its imaginary part, so it is an error before any solve, raised where
+    the pump is built."""
+    calls = spy_solves(lindblad)
+    with pytest.raises(ValueError, match=r"drive amplitude must be a finite real number, "
+                                         r"got \(1\+0\.5j\)"):
+        pump = DriveProfile(amplitude=1.0 + 0.5j, center=0.2, width=0.05)
+        integrate_master((np.eye(3), np.eye(3), pump), np.eye(3) / 3.0)
+    assert calls == []
+
+
 def test_unitary_evolution_preserves_purity():
     p = params(g=5.0, kappa_vuv=0.0, gamma_minus=0.0, fwm_u=3.0)
     h = build_hamiltonian_operators(p)

@@ -200,6 +200,17 @@ def test_a_real_kick_from_the_ground_never_moves_im_alpha_or_re_p(n):
     assert (ref.column("re_p") == 0.0).all()
 
 
+@pytest.mark.parametrize("amplitude", [0.3 - 0.2j], ids=["complex-drive"])
+def test_an_input_off_the_real_subspace_is_an_error(amplitude, spy_solves):
+    """A drive off the real subspace never reaches the solve: DriveProfile
+    rejects it when built. The state cannot leave the subspace by type."""
+    calls = spy_solves(maxwell_bloch)
+    with pytest.raises(ValueError, match="drive amplitude must be a finite real number"):
+        drive = DriveProfile(amplitude=amplitude, center=1.0, width=0.2)
+        integrate_mbe(params(), drive, (0.0, 1.0), n_samples=10)
+    assert calls == []
+
+
 def test_kick_needs_a_rate_scale():
     with pytest.raises(ValueError, match="rate"):
         rabi_kick(ModelParams(g=0.0, kappa_vuv=0.0, gamma_minus=0.0, n_nuclei=1))
